@@ -171,9 +171,8 @@ fn main() {
            {{"name": "drift", "metric": "psi", "column": "{psi_column}",
              "window": "1k", "trip": 1e12, "for": 1000000}}]"#
     );
-    let specs =
-        fairprep_trace::alert::parse_specs(&spec_text, &fairprep_cli::serve::WINDOW_LABELS)
-            .expect("alert specs");
+    let specs = fairprep_trace::alert::parse_specs(&spec_text, &fairprep_cli::serve::WINDOW_LABELS)
+        .expect("alert specs");
     registry.arm_alerts(&specs).expect("arm alerts");
     let server = ServerHandle::spawn(registry, 0, cores.max(2)).expect("spawn server");
     let addr = server.addr();

@@ -531,9 +531,8 @@ impl PipeTelemetry {
             // An empty window has no latency distribution: report
             // `None` (JSON null, omitted Prometheus samples) instead of
             // a fake zero indistinguishable from zero-latency traffic.
-            let percentile = |q: f64| {
-                (!latencies.is_empty()).then(|| percentile_of_sorted(&latencies, q))
-            };
+            let percentile =
+                |q: f64| (!latencies.is_empty()).then(|| percentile_of_sorted(&latencies, q));
             WindowSnapshot {
                 requests: latencies.len() as u64,
                 p50_us: percentile(0.50),
@@ -1142,7 +1141,12 @@ fn alert_value(telemetry: &PipeTelemetry, armed: &ArmedAlert) -> Option<f64> {
 }
 
 /// The canonical JSONL `alert` event (also the webhook payload body).
-fn alert_event_value(fingerprint: &str, armed: &ArmedAlert, transition: Transition, value: Option<f64>) -> Value {
+fn alert_event_value(
+    fingerprint: &str,
+    armed: &ArmedAlert,
+    transition: Transition,
+    value: Option<f64>,
+) -> Value {
     let mut members = vec![
         ("event", Value::Str("alert".to_string())),
         ("name", Value::Str(armed.spec.name.clone())),
@@ -1289,7 +1293,9 @@ fn post_webhook(authority: &str, path: &str, payload: &str) -> Result<(), String
         "POST {path} HTTP/1.1\r\nHost: {authority}\r\nContent-Type: {JSON_CONTENT_TYPE}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
         payload.len()
     );
-    stream.write_all(head.as_bytes()).map_err(|e| e.to_string())?;
+    stream
+        .write_all(head.as_bytes())
+        .map_err(|e| e.to_string())?;
     stream
         .write_all(payload.as_bytes())
         .map_err(|e| e.to_string())?;

@@ -165,21 +165,19 @@ fn tail_stream(path: &Path, once: bool, out: &mut dyn Write) -> Result<(), Strin
             consumed = 0;
             pending.clear();
         }
-        if len > consumed {
-            if file.seek(SeekFrom::Start(consumed)).is_ok() {
-                // Cap the read at the observed length so a racing
-                // writer cannot make this poll read unboundedly.
-                let mut fresh = Vec::new();
-                match file.take(len - consumed).read_to_end(&mut fresh) {
-                    Ok(read) => {
-                        consumed += read as u64;
-                        pending.extend_from_slice(&fresh);
-                    }
-                    Err(e) if once => {
-                        return Err(format!("cannot read {}: {e}", path.display()));
-                    }
-                    Err(_) => {}
+        if len > consumed && file.seek(SeekFrom::Start(consumed)).is_ok() {
+            // Cap the read at the observed length so a racing writer
+            // cannot make this poll read unboundedly.
+            let mut fresh = Vec::new();
+            match file.take(len - consumed).read_to_end(&mut fresh) {
+                Ok(read) => {
+                    consumed += read as u64;
+                    pending.extend_from_slice(&fresh);
                 }
+                Err(e) if once => {
+                    return Err(format!("cannot read {}: {e}", path.display()));
+                }
+                Err(_) => {}
             }
         }
         // Render complete lines; a torn tail stays pending for the
@@ -272,7 +270,10 @@ mod tests {
         let firing = render_line(
             r#"{"event":"alert","name":"age-drift","pipeline":"fnv1a64:abc","metric":"psi","column":"age","window":"1k","state":"firing","value":0.3417,"trip":0.2,"clear":0.1}"#,
         );
-        assert!(firing.starts_with("ALERT age-drift FIRING: psi(age)"), "{firing}");
+        assert!(
+            firing.starts_with("ALERT age-drift FIRING: psi(age)"),
+            "{firing}"
+        );
         assert!(firing.contains("window=1k"), "{firing}");
         assert!(firing.contains("value=0.3417"), "{firing}");
         assert!(firing.contains("trip=0.2000 clear=0.1000"), "{firing}");
@@ -281,7 +282,10 @@ mod tests {
         let cleared = render_line(
             r#"{"event":"alert","name":"di-floor","pipeline":"fnv1a64:abc","metric":"disparate_impact","window":"10k","state":"cleared","value":null,"trip":0.8,"clear":0.9}"#,
         );
-        assert!(cleared.starts_with("ALERT di-floor cleared: disparate_impact"), "{cleared}");
+        assert!(
+            cleared.starts_with("ALERT di-floor cleared: disparate_impact"),
+            "{cleared}"
+        );
         assert!(cleared.contains("value=undefined"), "{cleared}");
     }
 
@@ -330,10 +334,8 @@ mod tests {
     /// notice and restarts from offset 0 instead of stalling.
     #[test]
     fn follow_mode_reads_incrementally_and_recovers_from_truncation() {
-        let dir = std::env::temp_dir().join(format!(
-            "fairprep_tail_follow_test_{}",
-            std::process::id()
-        ));
+        let dir =
+            std::env::temp_dir().join(format!("fairprep_tail_follow_test_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("progress.jsonl");
         std::fs::write(

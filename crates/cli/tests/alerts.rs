@@ -28,7 +28,10 @@ fn scratch_dir(stem: &str) -> std::path::PathBuf {
 }
 
 /// Saves `sealed` into `dir` and opens a registry over it.
-fn registry_with(dir: &std::path::Path, sealed: &[&fairprep_core::seal::SealedPipeline]) -> Registry {
+fn registry_with(
+    dir: &std::path::Path,
+    sealed: &[&fairprep_core::seal::SealedPipeline],
+) -> Registry {
     for pipeline in sealed {
         pipeline.save(dir).unwrap();
     }
@@ -123,8 +126,13 @@ fn psi_alert_fires_on_contaminated_stream_never_in_distribution() {
     // fill the 1k window with traffic matching the sealed profile.
     for batch in 0..12 {
         let indices: Vec<usize> = (0..100).map(|i| (batch * 100 + i) % n).collect();
-        let (status, body) =
-            http_request(server.addr(), "POST", &path, Some(&rows_body(&data, &indices))).unwrap();
+        let (status, body) = http_request(
+            server.addr(),
+            "POST",
+            &path,
+            Some(&rows_body(&data, &indices)),
+        )
+        .unwrap();
         assert_eq!(status, 200, "{body}");
     }
 
@@ -134,7 +142,10 @@ fn psi_alert_fires_on_contaminated_stream_never_in_distribution() {
     assert_eq!(alerts.len(), 1, "{metrics}");
     let alert = &alerts[0];
     assert_eq!(alert.get("state").and_then(Value::as_str), Some("normal"));
-    assert_eq!(alert.get("fired_total").and_then(Value::as_u64_any), Some(0));
+    assert_eq!(
+        alert.get("fired_total").and_then(Value::as_u64_any),
+        Some(0)
+    );
     let log = std::fs::read_to_string(&log_path).unwrap();
     assert!(
         !log.contains(r#""event":"alert""#),
@@ -159,8 +170,14 @@ fn psi_alert_fires_on_contaminated_stream_never_in_distribution() {
         Some("firing"),
         "{metrics}"
     );
-    assert_eq!(alert.get("fired_total").and_then(Value::as_u64_any), Some(1));
-    assert_eq!(alert.get("cleared_total").and_then(Value::as_u64_any), Some(0));
+    assert_eq!(
+        alert.get("fired_total").and_then(Value::as_u64_any),
+        Some(1)
+    );
+    assert_eq!(
+        alert.get("cleared_total").and_then(Value::as_u64_any),
+        Some(0)
+    );
     assert!(
         alert.get("value").and_then(Value::as_f64).unwrap() > 0.2,
         "{metrics}"
@@ -180,7 +197,10 @@ fn psi_alert_fires_on_contaminated_stream_never_in_distribution() {
         .find(|l| l.starts_with("fairprep_alert_active{"))
         .unwrap_or_else(|| panic!("no active-alert sample: {prom}"));
     assert!(active.ends_with(" 1"), "{active}");
-    assert!(active.contains(&format!("alert=\"drift-{column}\"")), "{active}");
+    assert!(
+        active.contains(&format!("alert=\"drift-{column}\"")),
+        "{active}"
+    );
     assert!(
         prom.lines()
             .any(|l| l.starts_with("fairprep_alert_transitions_total{") && l.ends_with(" 1")),
@@ -299,10 +319,16 @@ fn alert_transitions_post_canonical_payload_to_webhook() {
     let (request_line, payload) = hook_rx
         .recv_timeout(std::time::Duration::from_secs(10))
         .expect("webhook payload must arrive");
-    assert!(request_line.starts_with("POST /alert-hook "), "{request_line}");
+    assert!(
+        request_line.starts_with("POST /alert-hook "),
+        "{request_line}"
+    );
     let event = parse(&payload).unwrap();
     assert_eq!(event.get("event").and_then(Value::as_str), Some("alert"));
-    assert_eq!(event.get("name").and_then(Value::as_str), Some("error-burst"));
+    assert_eq!(
+        event.get("name").and_then(Value::as_str),
+        Some("error-burst")
+    );
     assert_eq!(
         event.get("metric").and_then(Value::as_str),
         Some("error_rate")
@@ -344,7 +370,9 @@ fn canary_divergence_counts_match_an_independent_replay() {
     let primary_path = german().fingerprint.replace(':', "-");
     let canary_path = canary_sealed.fingerprint.replace(':', "-");
     assert_ne!(primary_path, canary_path);
-    registry.arm_canary(&canary_sealed.fingerprint, 1.0).unwrap();
+    registry
+        .arm_canary(&canary_sealed.fingerprint, 1.0)
+        .unwrap();
 
     let server = ServerHandle::spawn(registry, 0, 1).unwrap();
     let decision_of = |response: &str| -> Vec<Option<bool>> {

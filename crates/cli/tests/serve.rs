@@ -21,10 +21,15 @@ fn german() -> &'static (fairprep_core::seal::SealedPipeline, Vec<String>) {
 }
 
 fn spawn_german(threads: usize) -> (ServerHandle, String) {
+    use std::sync::atomic::{AtomicU64, Ordering};
+    // One directory per call: tests run in parallel, and two with the same
+    // thread count must not save into or delete each other's registry.
+    static NEXT: AtomicU64 = AtomicU64::new(0);
     let (sealed, _) = german();
     let dir = std::env::temp_dir().join(format!(
-        "fairprep_serve_test_{}_{threads}",
-        std::process::id()
+        "fairprep_serve_test_{}_{}",
+        std::process::id(),
+        NEXT.fetch_add(1, Ordering::Relaxed)
     ));
     let path = sealed.save(&dir).unwrap();
     let registry = Registry::open(&dir).unwrap();

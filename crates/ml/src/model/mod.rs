@@ -20,7 +20,7 @@ pub use forest::{RandomForest, RandomForestConfig};
 pub use knn::KNearestNeighbors;
 pub use logistic::{LogisticRegressionConfig, LogisticRegressionSgd, Penalty};
 pub use naive_bayes::GaussianNaiveBayes;
-pub use tree::{DecisionTree, DecisionTreeConfig, SplitCriterion};
+pub use tree::{DecisionTree, DecisionTreeConfig, PrunableTree, SplitCriterion};
 
 /// An unfitted classifier configuration.
 pub trait Classifier: Send + Sync {
@@ -40,6 +40,14 @@ pub trait Classifier: Send + Sync {
         weights: &[f64],
         seed: u64,
     ) -> Result<Box<dyn FittedClassifier>>;
+
+    /// The configuration of a [`DecisionTree`] candidate, `None` for every
+    /// other model. Cross-validated search uses it to fit tree candidates
+    /// that differ only in depth and split-size limits from one tree per
+    /// fold (see [`tree::PrunableTree::prune`]).
+    fn tree_config(&self) -> Option<DecisionTreeConfig> {
+        None
+    }
 }
 
 /// A trained model.

@@ -69,6 +69,25 @@ pub struct DecisionTreeConfig {
     pub min_samples_split: usize,
 }
 
+impl DecisionTreeConfig {
+    /// Rejects configurations that cannot grow a tree.
+    pub(crate) fn check(&self) -> Result<()> {
+        if self.min_samples_leaf == 0 || self.min_samples_split < 2 {
+            return Err(Error::InvalidParameter {
+                name: "decision_tree",
+                message: "min_samples_leaf >= 1 and min_samples_split >= 2 required".to_string(),
+            });
+        }
+        Ok(())
+    }
+
+    /// Whether the depth and split-size limits let a node at `depth`
+    /// (the root has depth 0) holding `rows` training rows split.
+    fn allows_split(&self, depth: usize, rows: usize) -> bool {
+        self.max_depth.is_none_or(|d| depth < d) && rows >= self.min_samples_split
+    }
+}
+
 impl Default for DecisionTreeConfig {
     fn default() -> Self {
         DecisionTreeConfig {
@@ -280,12 +299,105 @@ impl FittedClassifier for FittedDecisionTree {
     }
 }
 
+/// What the builder knew about a node when it decided whether to split it.
+#[derive(Debug, Clone, Copy)]
+struct NodeStats {
+    /// Training rows that reached the node.
+    rows: usize,
+    /// Distance from the root, which has depth 0.
+    depth: usize,
+    /// Weighted positive fraction of the node's rows: its leaf probability,
+    /// kept for split nodes too so that a prune can turn them into leaves.
+    proba: f64,
+}
+
+/// A fitted tree plus each node's row count, depth and leaf probability,
+/// from which [`PrunableTree::prune`] derives the tree a stricter
+/// `max_depth` / `min_samples_split` would have grown, without refitting.
+#[derive(Debug, Clone)]
+pub struct PrunableTree {
+    config: DecisionTreeConfig,
+    tree: FittedDecisionTree,
+    stats: Vec<NodeStats>,
+}
+
+impl PrunableTree {
+    /// The tree as grown.
+    #[must_use]
+    pub fn into_tree(self) -> FittedDecisionTree {
+        self.tree
+    }
+
+    /// The tree [`DecisionTree::fit_tree`] grows with `config` on the same
+    /// data, derived by turning into a leaf every split node at depth ≥
+    /// `config.max_depth` or with fewer rows than `config.min_samples_split`.
+    ///
+    /// Greedy CART decides each node from that node's rows alone, and looser
+    /// depth and split-size limits only allow more splits; so for a `config`
+    /// that shares this tree's `criterion` and `min_samples_leaf` and is at
+    /// least as strict in the other two, the result equals `fit_tree` node
+    /// for node: the same pre-order arena and the same leaf probabilities.
+    /// Any other `config` is an [`Error::InvalidParameter`].
+    pub fn prune(&self, config: &DecisionTreeConfig) -> Result<FittedDecisionTree> {
+        let grown = &self.config;
+        let stricter = grown
+            .max_depth
+            .is_none_or(|g| config.max_depth.is_some_and(|d| d <= g))
+            && config.min_samples_split >= grown.min_samples_split;
+        if config.criterion != grown.criterion
+            || config.min_samples_leaf != grown.min_samples_leaf
+            || !stricter
+        {
+            return Err(Error::InvalidParameter {
+                name: "decision_tree",
+                message: format!(
+                    "cannot prune a tree grown with {grown:?} to the looser or unrelated {config:?}"
+                ),
+            });
+        }
+        let mut nodes = Vec::with_capacity(self.tree.nodes.len());
+        self.prune_into(0, config, &mut nodes);
+        Ok(FittedDecisionTree {
+            nodes,
+            n_features: self.tree.n_features,
+        })
+    }
+
+    /// Copies the subtree at grown node `i` into `out` in pre-order and
+    /// returns its new index.
+    fn prune_into(&self, i: usize, config: &DecisionTreeConfig, out: &mut Vec<Node>) -> usize {
+        let NodeStats { rows, depth, proba } = self.stats[i];
+        let me = out.len();
+        out.push(Node::Leaf { proba });
+        if let Node::Split {
+            feature,
+            threshold,
+            left,
+            right,
+        } = self.tree.nodes[i]
+        {
+            if config.allows_split(depth, rows) {
+                let left = self.prune_into(left, config, out);
+                let right = self.prune_into(right, config, out);
+                out[me] = Node::Split {
+                    feature,
+                    threshold,
+                    left,
+                    right,
+                };
+            }
+        }
+        me
+    }
+}
+
 struct Builder<'a> {
     x: &'a Matrix,
     y: &'a [f64],
     w: &'a [f64],
     config: DecisionTreeConfig,
     nodes: Vec<Node>,
+    stats: Vec<NodeStats>,
 }
 
 struct BestSplit {
@@ -300,41 +412,38 @@ impl Builder<'_> {
         let node_impurity = self.config.criterion.impurity(pos, total);
         let proba = if total > 0.0 { pos / total } else { 0.5 };
 
-        let depth_ok = self.config.max_depth.is_none_or(|d| depth < d);
-        let can_split = depth_ok
-            && indices.len() >= self.config.min_samples_split
+        let can_split = self.config.allows_split(depth, indices.len())
             && indices.len() >= 2 * self.config.min_samples_leaf
             && node_impurity > 1e-12;
 
         let best = if can_split {
-            self.best_split(indices, node_impurity, total)
+            self.best_split(indices, node_impurity, pos, total)
         } else {
             None
         };
 
-        match best {
-            None => {
-                self.nodes.push(Node::Leaf { proba });
-                self.nodes.len() - 1
-            }
-            Some(split) => {
-                // Partition indices in place around the threshold.
-                let mid = partition(indices, |i| self.x.get(i, split.feature) <= split.threshold);
-                // Reserve our slot before recursing so the root is node 0.
-                self.nodes.push(Node::Leaf { proba });
-                let me = self.nodes.len() - 1;
-                let (left_ix, right_ix) = indices.split_at_mut(mid);
-                let left = self.build(left_ix, depth + 1);
-                let right = self.build(right_ix, depth + 1);
-                self.nodes[me] = Node::Split {
-                    feature: split.feature,
-                    threshold: split.threshold,
-                    left,
-                    right,
-                };
-                me
-            }
+        // Reserve our slot before recursing so the root is node 0.
+        self.nodes.push(Node::Leaf { proba });
+        self.stats.push(NodeStats {
+            rows: indices.len(),
+            depth,
+            proba,
+        });
+        let me = self.nodes.len() - 1;
+        if let Some(split) = best {
+            // Partition indices in place around the threshold.
+            let mid = partition(indices, |i| self.x.get(i, split.feature) <= split.threshold);
+            let (left_ix, right_ix) = indices.split_at_mut(mid);
+            let left = self.build(left_ix, depth + 1);
+            let right = self.build(right_ix, depth + 1);
+            self.nodes[me] = Node::Split {
+                feature: split.feature,
+                threshold: split.threshold,
+                left,
+                right,
+            };
         }
+        me
     }
 
     fn weighted_counts(&self, indices: &[usize]) -> (f64, f64) {
@@ -347,11 +456,14 @@ impl Builder<'_> {
         (pos, total)
     }
 
+    /// Best split of the node holding `indices`, whose weighted positive
+    /// mass and total mass are `all_pos` and `all_total`.
     fn best_split(
         &self,
         indices: &[usize],
         node_impurity: f64,
-        total_weight: f64,
+        all_pos: f64,
+        all_total: f64,
     ) -> Option<BestSplit> {
         let min_leaf = self.config.min_samples_leaf;
         let mut best: Option<BestSplit> = None;
@@ -366,7 +478,6 @@ impl Builder<'_> {
 
             let mut left_pos = 0.0;
             let mut left_total = 0.0;
-            let (all_pos, all_total) = self.weighted_counts(indices);
             for k in 0..order.len() - 1 {
                 let i = order[k];
                 left_pos += self.w[i] * self.y[i];
@@ -386,7 +497,7 @@ impl Builder<'_> {
                 let imp_l = self.config.criterion.impurity(left_pos, left_total);
                 let imp_r = self.config.criterion.impurity(right_pos, right_total);
                 let weighted_child =
-                    (left_total * imp_l + right_total * imp_r) / total_weight.max(1e-12);
+                    (left_total * imp_l + right_total * imp_r) / all_total.max(1e-12);
                 // Like scikit-learn with `min_impurity_decrease = 0`, zero-gain
                 // splits are admissible (this is what lets greedy CART solve
                 // XOR-shaped problems); ties keep the first (lowest-feature)
@@ -454,6 +565,10 @@ impl Classifier for DecisionTree {
     ) -> Result<Box<dyn FittedClassifier>> {
         Ok(Box::new(self.fit_tree(x, y, weights, seed)?))
     }
+
+    fn tree_config(&self) -> Option<DecisionTreeConfig> {
+        Some(self.config)
+    }
 }
 
 impl DecisionTree {
@@ -466,13 +581,16 @@ impl DecisionTree {
         weights: &[f64],
         _seed: u64,
     ) -> Result<FittedDecisionTree> {
+        self.fit_prunable(x, y, weights)
+            .map(PrunableTree::into_tree)
+    }
+
+    /// Fits like [`DecisionTree::fit_tree`] and keeps what
+    /// [`PrunableTree::prune`] needs to derive, from this one fit, the tree
+    /// of every stricter `max_depth` / `min_samples_split`.
+    pub fn fit_prunable(&self, x: &Matrix, y: &[f64], weights: &[f64]) -> Result<PrunableTree> {
         validate_training_inputs(x, y, weights)?;
-        if self.config.min_samples_leaf == 0 || self.config.min_samples_split < 2 {
-            return Err(Error::InvalidParameter {
-                name: "decision_tree",
-                message: "min_samples_leaf >= 1 and min_samples_split >= 2 required".to_string(),
-            });
-        }
+        self.config.check()?;
         let mut indices: Vec<usize> = (0..x.n_rows()).collect();
         let mut builder = Builder {
             x,
@@ -480,11 +598,16 @@ impl DecisionTree {
             w: weights,
             config: self.config,
             nodes: Vec::new(),
+            stats: Vec::new(),
         };
         builder.build(&mut indices, 0);
-        Ok(FittedDecisionTree {
-            nodes: builder.nodes,
-            n_features: x.n_cols(),
+        Ok(PrunableTree {
+            config: self.config,
+            tree: FittedDecisionTree {
+                nodes: builder.nodes,
+                n_features: x.n_cols(),
+            },
+            stats: builder.stats,
         })
     }
 }
@@ -626,6 +749,59 @@ mod tests {
     }
 
     #[test]
+    fn prune_derives_only_stricter_members_of_the_family() {
+        let (x, y) = xor_data();
+        let w = vec![1.0; y.len()];
+        let grown_config = DecisionTreeConfig {
+            max_depth: Some(4),
+            min_samples_split: 5,
+            ..Default::default()
+        };
+        let grown = DecisionTree::new(grown_config)
+            .fit_prunable(&x, &y, &w)
+            .unwrap();
+        assert_eq!(
+            grown.prune(&grown_config).unwrap(),
+            grown.clone().into_tree()
+        );
+        let stump = DecisionTreeConfig {
+            max_depth: Some(1),
+            min_samples_split: 30,
+            ..grown_config
+        };
+        assert_eq!(
+            grown.prune(&stump).unwrap(),
+            DecisionTree::new(stump).fit_tree(&x, &y, &w, 0).unwrap()
+        );
+        let not_derivable = [
+            DecisionTreeConfig {
+                criterion: SplitCriterion::Entropy,
+                ..grown_config
+            },
+            DecisionTreeConfig {
+                min_samples_leaf: 2,
+                ..grown_config
+            },
+            DecisionTreeConfig {
+                max_depth: None,
+                ..grown_config
+            },
+            DecisionTreeConfig {
+                max_depth: Some(5),
+                ..grown_config
+            },
+            DecisionTreeConfig {
+                min_samples_split: 4,
+                ..grown_config
+            },
+        ];
+        for config in not_derivable {
+            let err = grown.prune(&config).unwrap_err();
+            assert!(matches!(err, Error::InvalidParameter { .. }), "{config:?}");
+        }
+    }
+
+    #[test]
     fn impurity_functions() {
         assert_eq!(SplitCriterion::Gini.impurity(0.0, 10.0), 0.0);
         assert_eq!(SplitCriterion::Gini.impurity(10.0, 10.0), 0.0);
@@ -648,6 +824,7 @@ mod tests {
             w: &vec![1.0; y.len()],
             config: DecisionTreeConfig::default(),
             nodes: Vec::new(),
+            stats: Vec::new(),
         };
         b.build(&mut indices, 0);
         let tree = FittedDecisionTree {

@@ -7,14 +7,23 @@
 //! by mean validation-fold accuracy, and refits the winning candidate on
 //! the full training data.
 //!
-//! Two properties make the search fast without changing its results:
+//! Three properties make the search fast without changing its results:
 //!
 //! * **Shared fold cache.** Folds are derived from the seed alone, so every
 //!   candidate sees identical folds. [`FoldCache`] materializes each fold's
 //!   `(x_train, y_train, w_train, x_val, y_val)` exactly once instead of
 //!   once per candidate (~60× fewer row-gather allocations on the paper's
 //!   decision-tree grid).
-//! * **Deterministic parallel fan-out.** Candidate×fold fit jobs run on
+//! * **One tree build per family and fold.** Decision-tree candidates that
+//!   share `criterion` and `min_samples_leaf` form a family. Each fold grows
+//!   one tree with the family's loosest `max_depth` and `min_samples_split`
+//!   and prunes it to every member
+//!   ([`PrunableTree::prune`](crate::model::PrunableTree::prune)), which
+//!   equals the member's own fit node for node. The paper's 72-candidate
+//!   grid takes 40 tree builds at k = 5 instead of 360; the fold counters
+//!   still count candidate×fold evaluations.
+//! * **Deterministic parallel fan-out.** Fit jobs, one per (family, fold)
+//!   and one per (candidate, fold) for every other candidate, run on
 //!   [`fairprep_data::parallel::parallel_map`], which returns results in
 //!   submission order; every fit derives its randomness from the search
 //!   seed, so any thread budget produces bit-identical scores and the same
@@ -29,7 +38,7 @@ use fairprep_trace::{Counter, Stage, Tracer};
 
 use crate::eval::ConfusionMatrix;
 use crate::matrix::Matrix;
-use crate::model::{Classifier, FittedClassifier};
+use crate::model::{Classifier, DecisionTree, DecisionTreeConfig, FittedClassifier};
 
 /// Per-candidate cross-validation outcome.
 #[derive(Debug, Clone)]
@@ -107,11 +116,99 @@ impl FoldCache {
     /// Fits `candidate` on one fold's training part and returns its
     /// validation accuracy.
     fn score_fold(&self, candidate: &dyn Classifier, fold: usize, seed: u64) -> Result<f64> {
-        let fold = &self.folds[fold];
-        let model = candidate.fit(&fold.x_train, &fold.y_train, &fold.w_train, seed)?;
-        let preds = model.predict(&fold.x_val)?;
-        Ok(ConfusionMatrix::compute(&fold.y_val, &preds, None)?.accuracy())
+        let f = &self.folds[fold];
+        let model = candidate.fit(&f.x_train, &f.y_train, &f.w_train, seed)?;
+        self.accuracy(model.as_ref(), fold)
     }
+
+    /// Grows `family`'s loosest tree on one fold's training part and
+    /// returns each member's validation accuracy, in member order.
+    fn score_family_fold(&self, family: &TreeFamily, fold: usize) -> Vec<Result<f64>> {
+        let f = &self.folds[fold];
+        match family
+            .grown
+            .fit_prunable(&f.x_train, &f.y_train, &f.w_train)
+        {
+            Ok(grown) => family
+                .members
+                .iter()
+                .map(|(_, config)| {
+                    grown
+                        .prune(config)
+                        .and_then(|tree| self.accuracy(&tree, fold))
+                })
+                .collect(),
+            // Only the training inputs can fail a valid configuration, so
+            // each member's own fit would have failed the same way.
+            Err(e) => family.members.iter().map(|_| Err(e.clone())).collect(),
+        }
+    }
+
+    /// Validation accuracy of `model` on one fold.
+    fn accuracy(&self, model: &dyn FittedClassifier, fold: usize) -> Result<f64> {
+        let f = &self.folds[fold];
+        let preds = model.predict(&f.x_val)?;
+        Ok(ConfusionMatrix::compute(&f.y_val, &preds, None)?.accuracy())
+    }
+}
+
+/// Decision-tree candidates that share `criterion` and `min_samples_leaf`.
+/// Each fold grows one tree with the family's loosest `max_depth` and
+/// `min_samples_split` and prunes it to every member
+/// ([`crate::model::PrunableTree::prune`]), which equals fitting each
+/// member on its own.
+struct TreeFamily {
+    /// The family's loosest configuration: the tree that is grown.
+    grown: DecisionTree,
+    /// Each member's position in the selected list, and its configuration.
+    members: Vec<(usize, DecisionTreeConfig)>,
+}
+
+/// What one fit job fits on its fold.
+#[derive(Clone, Copy)]
+enum FitJob<'a> {
+    /// The candidate at this position in the selected list, on its own.
+    Candidate(usize),
+    /// Every member of a tree family, from one grown tree.
+    Family(&'a TreeFamily),
+}
+
+/// Groups the selected tree candidates into families and returns them with
+/// the positions of the candidates that are fitted on their own: every
+/// other model, and trees whose configuration `fit_tree` rejects, so that
+/// they fail with its error and their family does not.
+fn plan_fits(
+    candidates: &[Box<dyn Classifier>],
+    selected: &[usize],
+) -> (Vec<TreeFamily>, Vec<usize>) {
+    let mut families: Vec<TreeFamily> = Vec::new();
+    let mut alone = Vec::new();
+    for (slot, &candidate) in selected.iter().enumerate() {
+        let Some(config) = candidates[candidate]
+            .tree_config()
+            .filter(|c| c.check().is_ok())
+        else {
+            alone.push(slot);
+            continue;
+        };
+        let family = families.iter_mut().find(|f| {
+            f.grown.config.criterion == config.criterion
+                && f.grown.config.min_samples_leaf == config.min_samples_leaf
+        });
+        match family {
+            Some(family) => {
+                let grown = &mut family.grown.config;
+                grown.max_depth = grown.max_depth.zip(config.max_depth).map(|(a, b)| a.max(b));
+                grown.min_samples_split = grown.min_samples_split.min(config.min_samples_split);
+                family.members.push((slot, config));
+            }
+            None => families.push(TreeFamily {
+                grown: DecisionTree::new(config),
+                members: vec![(slot, config)],
+            }),
+        }
+    }
+    (families, alone)
 }
 
 /// Compares two mean scores, ranking NaN strictly below every real score
@@ -276,9 +373,9 @@ fn candidate_indices(candidates: &[Box<dyn Classifier>]) -> Vec<usize> {
 }
 
 /// Scores the selected candidates against a shared fold cache, fanning the
-/// candidate×fold fit jobs across `threads` workers. Results are grouped
-/// back per candidate in `selected` order; the first job error (in
-/// submission order) aborts the search, matching the sequential path.
+/// fit jobs across `threads` workers. Results are grouped back per
+/// candidate in `selected` order; the first candidate×fold error (in that
+/// order) aborts the search, matching the sequential path.
 fn score_candidates_on_cache(
     candidates: &[Box<dyn Classifier>],
     cache: &FoldCache,
@@ -288,41 +385,84 @@ fn score_candidates_on_cache(
     tracer: &Tracer,
 ) -> Result<Vec<CandidateScore>> {
     let k = cache.len();
-    let jobs: Vec<(usize, usize)> = selected
-        .iter()
-        .flat_map(|&candidate| (0..k).map(move |fold| (candidate, fold)))
-        .collect();
-    // Counters are recorded up front from the job plan — a pure function
-    // of (candidates, k) — so the hot fold jobs below stay tracer-free
-    // and the recorded values cannot depend on the thread budget. Every
-    // job after the first pass over the k folds reuses a cached fold.
-    tracer.add(Counter::FoldsEvaluated, jobs.len() as u64);
-    tracer.add(Counter::FoldCacheHits, jobs.len().saturating_sub(k) as u64);
-    let fold_results = parallel_map(jobs, threads, |(candidate, fold)| {
-        cache.score_fold(candidates[candidate].as_ref(), fold, seed)
-    });
+    let evaluations = selected.len() * k;
+    // Counters are recorded up front from the candidate×fold plan — a pure
+    // function of (candidates, k) — so the hot fold jobs below stay
+    // tracer-free and the recorded values cannot depend on the thread
+    // budget. Every evaluation after the first pass over the k folds
+    // reuses a cached fold.
+    tracer.add(Counter::FoldsEvaluated, evaluations as u64);
+    tracer.add(Counter::FoldCacheHits, evaluations.saturating_sub(k) as u64);
+    candidate_fold_scores(candidates, cache, selected, seed, threads)
+        .into_iter()
+        .zip(selected)
+        .map(|(fold_scores, &candidate)| {
+            let fold_scores = fold_scores?;
+            let (mean_score, std_score) = mean_std(&fold_scores);
+            Ok(CandidateScore {
+                candidate,
+                description: candidates[candidate].describe(),
+                mean_score,
+                std_score,
+                fold_scores,
+            })
+        })
+        .collect()
+}
 
-    let mut scores = Vec::with_capacity(selected.len());
-    let mut results = fold_results.into_iter();
-    for &candidate in selected {
-        let fold_scores = (&mut results).take(k).collect::<Result<Vec<f64>>>()?;
-        let (mean_score, std_score) = mean_std(&fold_scores);
-        scores.push(CandidateScore {
-            candidate,
-            description: candidates[candidate].describe(),
-            mean_score,
-            std_score,
-            fold_scores,
-        });
+/// Each selected candidate's fold scores, in `selected` order; a
+/// candidate's `Err` is its first failing fold's error. Tree families run
+/// as one job per (family, fold) and every other candidate as one job per
+/// (candidate, fold); the scores are scattered back into candidate×fold
+/// order, so the result does not depend on the plan or the thread budget.
+fn candidate_fold_scores(
+    candidates: &[Box<dyn Classifier>],
+    cache: &FoldCache,
+    selected: &[usize],
+    seed: u64,
+    threads: usize,
+) -> Vec<Result<Vec<f64>>> {
+    let k = cache.len();
+    let (families, alone) = plan_fits(candidates, selected);
+    // Family jobs first: they are the largest, so idle workers pick up the
+    // small ones at the end.
+    let jobs: Vec<(FitJob<'_>, usize)> = families
+        .iter()
+        .map(FitJob::Family)
+        .chain(alone.into_iter().map(FitJob::Candidate))
+        .flat_map(|job| (0..k).map(move |fold| (job, fold)))
+        .collect();
+    // Every job scores its candidates on one fold and each candidate's
+    // jobs are queued in fold order, so pushing the scores in submission
+    // order leaves each candidate's list in fold order.
+    let mut per_candidate: Vec<Vec<Result<f64>>> =
+        selected.iter().map(|_| Vec::with_capacity(k)).collect();
+    let scored = parallel_map(jobs, threads, |(job, fold)| match job {
+        FitJob::Candidate(slot) => vec![(
+            slot,
+            cache.score_fold(candidates[selected[slot]].as_ref(), fold, seed),
+        )],
+        FitJob::Family(family) => family
+            .members
+            .iter()
+            .map(|&(slot, _)| slot)
+            .zip(cache.score_family_fold(family, fold))
+            .collect(),
+    });
+    for (slot, score) in scored.into_iter().flatten() {
+        per_candidate[slot].push(score);
     }
-    Ok(scores)
+    per_candidate
+        .into_iter()
+        .map(|folds| folds.into_iter().collect())
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::{DecisionTree, DecisionTreeConfig};
-    use crate::selection::logistic_regression_grid;
+    use crate::model::{LogisticRegressionSgd, SplitCriterion};
+    use crate::selection::{decision_tree_grid, logistic_regression_grid};
 
     /// y = 1 iff x0 > 0.5; one candidate can learn it (depth 2), one cannot
     /// (depth 0 → a single base-rate leaf).
@@ -538,6 +678,183 @@ mod tests {
         let cache = FoldCache::build(&x, &y, &w, 5, 3).unwrap();
         assert_eq!(cache.len(), 5);
         assert!(!cache.is_empty());
+    }
+
+    const SEED: u64 = 29;
+
+    /// 150 rows whose features repeat few values, labels that trees fit
+    /// only partly, and reweighing-style weights (one per group × label
+    /// cell), so the grid's configurations grow many different trees.
+    fn tree_data() -> (Matrix, Vec<f64>, Vec<f64>) {
+        let cell_weights = [0.8125, 1.3, 0.95, 1.0714285714285714];
+        let (mut rows, mut y, mut w) = (Vec::new(), Vec::new(), Vec::new());
+        for i in 0..150_u32 {
+            let (a, b, c) = (i % 7, (i * 5 + 3) % 11, (i * 13) % 4);
+            rows.push(vec![f64::from(a), f64::from(b) * 0.5, f64::from(c) - 1.5]);
+            let label = u32::from(a + b % 5 > 4 + c) ^ u32::from(i % 9 == 0);
+            y.push(f64::from(label));
+            w.push(cell_weights[(2 * ((i / 3) % 2) + label) as usize]);
+        }
+        (Matrix::from_rows(&rows).unwrap(), y, w)
+    }
+
+    fn tree(
+        criterion: SplitCriterion,
+        max_depth: Option<usize>,
+        min_samples_leaf: usize,
+        min_samples_split: usize,
+    ) -> Box<dyn Classifier> {
+        Box::new(DecisionTree::new(DecisionTreeConfig {
+            criterion,
+            max_depth,
+            min_samples_leaf,
+            min_samples_split,
+        }))
+    }
+
+    /// Position of the rejected tree in [`mixed_candidates`].
+    const REJECTED: usize = 3;
+
+    /// A logistic model, trees from two families, and a tree that
+    /// `fit_tree` rejects (`min_samples_split: 1`) inside the first family.
+    fn mixed_candidates() -> Vec<Box<dyn Classifier>> {
+        use SplitCriterion::{Entropy, Gini};
+        vec![
+            Box::new(LogisticRegressionSgd::default()),
+            tree(Gini, Some(3), 2, 5),
+            tree(Entropy, Some(5), 1, 2),
+            tree(Gini, Some(2), 2, 1),
+            tree(Gini, None, 2, 10),
+            tree(Gini, Some(10), 2, 2),
+            tree(Entropy, Some(1), 1, 5),
+        ]
+    }
+
+    /// Each candidate's fold scores from `score_candidate`: one fit per
+    /// candidate and fold.
+    fn scored_alone(
+        candidates: &[Box<dyn Classifier>],
+        (x, y, w): &(Matrix, Vec<f64>, Vec<f64>),
+    ) -> Vec<Result<Vec<f64>>> {
+        candidates
+            .iter()
+            .map(|c| {
+                GridSearchCv::new(5)
+                    .score_candidate(c.as_ref(), x, y, w, SEED)
+                    .map(|(_, _, folds)| folds)
+            })
+            .collect()
+    }
+
+    fn bits(scores: &[f64]) -> Vec<u64> {
+        scores.iter().map(|s| s.to_bits()).collect()
+    }
+
+    fn assert_scored_as_alone(scores: &[CandidateScore], alone: &[Result<Vec<f64>>]) {
+        for s in scores {
+            let want = alone[s.candidate].as_ref().unwrap();
+            assert_eq!(
+                bits(&s.fold_scores),
+                bits(want),
+                "candidate {}",
+                s.candidate
+            );
+        }
+    }
+
+    /// Both searches, at 1 and 4 threads, score the paper's tree grid
+    /// bit for bit as one fit per candidate and fold does, and count
+    /// candidate×fold evaluations as before.
+    #[test]
+    fn tree_grid_scores_match_single_candidate_fits() {
+        let data = tree_data();
+        let (x, y, w) = &data;
+        let grid = decision_tree_grid();
+        let alone = scored_alone(&grid, &data);
+        let mut distinct: Vec<Vec<u64>> = alone.iter().map(|f| bits(f.as_ref().unwrap())).collect();
+        distinct.sort_unstable();
+        distinct.dedup();
+        assert!(
+            distinct.len() > 10,
+            "only {} distinct fold-score vectors",
+            distinct.len()
+        );
+        for threads in [1, 4] {
+            let t = Tracer::enabled();
+            let full = GridSearchCv::new(5)
+                .with_threads(threads)
+                .search_traced(&grid, x, y, w, SEED, &t)
+                .unwrap();
+            assert_eq!(full.scores.len(), 72);
+            assert_eq!(t.counter(Counter::FoldsEvaluated), 360);
+            assert_eq!(t.counter(Counter::FoldCacheHits), 355);
+            assert_scored_as_alone(&full.scores, &alone);
+            let sampled = RandomizedSearchCv::new(5, 20)
+                .with_threads(threads)
+                .search(&grid, x, y, w, SEED)
+                .unwrap();
+            assert_eq!(sampled.scores.len(), 20);
+            assert_scored_as_alone(&sampled.scores, &alone);
+        }
+    }
+
+    /// On a mixed list the tree `fit_tree` rejects fails with its own
+    /// error while the rest of its family scores as if fitted alone.
+    #[test]
+    fn rejected_tree_fails_alone_and_spares_its_family() {
+        let data = tree_data();
+        let (x, y, w) = &data;
+        let mixed = mixed_candidates();
+        let alone = scored_alone(&mixed, &data);
+        let rejected = alone[REJECTED].clone().unwrap_err();
+        assert!(matches!(rejected, Error::InvalidParameter { .. }));
+        let cache = FoldCache::build(x, y, w, 5, SEED).unwrap();
+        // Every candidate, and a sorted subset as RandomizedSearchCv samples.
+        for selected in [candidate_indices(&mixed), vec![1, 3, 6]] {
+            for threads in [1, 4] {
+                let got = candidate_fold_scores(&mixed, &cache, &selected, SEED, threads);
+                for (got, &c) in got.iter().zip(&selected) {
+                    match (got, &alone[c]) {
+                        (Ok(a), Ok(b)) => assert_eq!(bits(a), bits(b), "candidate {c}"),
+                        (Err(a), Err(b)) => assert_eq!(a, b, "candidate {c}"),
+                        (a, b) => panic!("candidate {c}: {a:?} against {b:?} alone"),
+                    }
+                }
+            }
+        }
+
+        let valid: Vec<Box<dyn Classifier>> = mixed_candidates()
+            .into_iter()
+            .enumerate()
+            .filter_map(|(c, candidate)| (c != REJECTED).then_some(candidate))
+            .collect();
+        let valid_alone = scored_alone(&valid, &data);
+        for threads in [1, 4] {
+            let searches = [
+                GridSearchCv::new(5)
+                    .with_threads(threads)
+                    .search(&mixed, x, y, w, SEED),
+                RandomizedSearchCv::new(5, mixed.len())
+                    .with_threads(threads)
+                    .search(&mixed, x, y, w, SEED),
+            ];
+            for outcome in searches {
+                match outcome {
+                    Err(e) => assert_eq!(e, rejected),
+                    Ok(_) => panic!("the rejected tree did not fail the search"),
+                }
+            }
+            let full = GridSearchCv::new(5)
+                .with_threads(threads)
+                .search(&valid, x, y, w, SEED)
+                .unwrap();
+            assert_scored_as_alone(&full.scores, &valid_alone);
+            let sampled = RandomizedSearchCv::new(5, 4)
+                .with_threads(threads)
+                .search(&valid, x, y, w, SEED)
+                .unwrap();
+            assert_scored_as_alone(&sampled.scores, &valid_alone);
+        }
     }
 }
 

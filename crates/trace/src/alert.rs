@@ -296,9 +296,8 @@ fn parse_metric(entry: &Value, name: &str) -> Result<AlertMetric, String> {
     let parsed = match metric {
         "disparate_impact" => AlertMetric::DisparateImpact,
         "psi" => {
-            let column = column.ok_or_else(|| {
-                format!("alert '{name}': metric 'psi' requires a 'column' field")
-            })?;
+            let column = column
+                .ok_or_else(|| format!("alert '{name}': metric 'psi' requires a 'column' field"))?;
             AlertMetric::Psi {
                 column: column.to_string(),
             }
@@ -558,11 +557,17 @@ mod tests {
         let di = &specs[0];
         assert_eq!(di.metric, AlertMetric::DisparateImpact);
         assert_eq!(di.direction, Direction::Below);
-        assert_eq!((di.window.as_str(), di.for_count, di.min_hold), ("10k", 25, 100));
+        assert_eq!(
+            (di.window.as_str(), di.for_count, di.min_hold),
+            ("10k", 25, 100)
+        );
         let psi = &specs[1];
         assert_eq!(psi.metric.column(), Some("age"));
         assert_eq!(psi.direction, Direction::Above);
-        assert_eq!((psi.window.as_str(), psi.for_count, psi.min_hold), ("1k", 1, 0));
+        assert_eq!(
+            (psi.window.as_str(), psi.for_count, psi.min_hold),
+            ("1k", 1, 0)
+        );
     }
 
     #[test]
@@ -571,14 +576,26 @@ mod tests {
         let cases: &[(&str, &str)] = &[
             ("not json", "alerts file"),
             (r#"{"alerts": []}"#, "no alert specs"),
-            (r#"[{"metric": "psi", "trip": 0.2}]"#, "missing non-empty string field 'name'"),
-            (r#"[{"name": "a", "metric": "nope", "trip": 1.0}]"#, "unknown metric"),
-            (r#"[{"name": "a", "metric": "psi", "trip": 0.2}]"#, "requires a 'column'"),
+            (
+                r#"[{"metric": "psi", "trip": 0.2}]"#,
+                "missing non-empty string field 'name'",
+            ),
+            (
+                r#"[{"name": "a", "metric": "nope", "trip": 1.0}]"#,
+                "unknown metric",
+            ),
+            (
+                r#"[{"name": "a", "metric": "psi", "trip": 0.2}]"#,
+                "requires a 'column'",
+            ),
             (
                 r#"[{"name": "a", "metric": "error_rate", "column": "x", "trip": 0.5}]"#,
                 "only valid with metric 'psi'",
             ),
-            (r#"[{"name": "a", "metric": "error_rate"}]"#, "missing numeric field 'trip'"),
+            (
+                r#"[{"name": "a", "metric": "error_rate"}]"#,
+                "missing numeric field 'trip'",
+            ),
             (
                 r#"[{"name": "a", "metric": "error_rate", "trip": 0.5, "window": "5k"}]"#,
                 "unknown window '5k'",
