@@ -7,7 +7,8 @@
 //! 1. **Token lints** over the significant-token stream — L1 isolation
 //!    (`fit-on-test`, `vault-row-leak`), L2 determinism (`hash-iter`,
 //!    `thread-spawn`, `float-eq`, `wall-clock`), L3 panic hygiene
-//!    (`unwrap`/`expect`/`panic`/`index-literal`).
+//!    (`unwrap`/`expect`/`panic`/`index-literal`, and
+//!    `unsafe-safety-comment`).
 //! 2. **Dataflow** over a brace-matched lightweight AST and workspace
 //!    call graph — `test-taint-flow` (static provenance taint from
 //!    test-split sources to fit sinks) and `missing-guard-fit`

@@ -8,7 +8,7 @@
 //! * **L2 nondeterminism** — no iteration-order, scheduling, or wall-clock
 //!   dependence in seeded code paths.
 //! * **L3 panic hygiene** — library code returns `Result` instead of
-//!   panicking.
+//!   panicking, and every `unsafe` in it says why it is sound.
 //!
 //! Every lint honours the inline waiver comment
 //! `// audit: allow(<lint>, reason = "…")`, which silences the lint on the
@@ -87,6 +87,12 @@ pub const LINTS: &[Lint] = &[
         layer: "L3",
         rationale: "slice indexing by literal panics on short inputs; use get() or \
                     destructuring",
+    },
+    Lint {
+        id: "unsafe-safety-comment",
+        layer: "L3",
+        rationale: "every unsafe block, unsafe fn and unsafe impl in library code needs a \
+                    `// SAFETY:` comment on the lines directly above saying why it is sound",
     },
     Lint {
         id: "test-taint-flow",
@@ -373,6 +379,9 @@ pub(crate) fn token_lints(analysis: &FileAnalysis<'_>, raw: &mut Vec<Diagnostic>
     }
     if scope.lint_applies("index-literal") {
         check_index_literal(&ctx, raw);
+    }
+    if scope.lint_applies("unsafe-safety-comment") {
+        check_unsafe_safety_comment(&ctx, raw);
     }
 }
 
@@ -981,6 +990,99 @@ fn check_index_literal(ctx: &FileContext<'_>, out: &mut Vec<Diagnostic>) {
     }
 }
 
+/// L3: an `unsafe` block, `unsafe fn` or `unsafe impl` without a
+/// `// SAFETY:` comment, or a `# Safety` doc section, on the lines directly
+/// above it. Test code is not exempt: an unsound block is undefined
+/// behaviour wherever it runs.
+fn check_unsafe_safety_comment(ctx: &FileContext<'_>, out: &mut Vec<Diagnostic>) {
+    for s in 0..ctx.len() {
+        if ctx.kind(s) != TokenKind::Ident || ctx.text(s) != "unsafe" {
+            continue;
+        }
+        let next = |k: usize| (s + k < ctx.len()).then(|| ctx.text(s + k));
+        // `unsafe fn(…)` without a name is a function-pointer type.
+        let named_fn = |k: usize| {
+            next(k) == Some("fn")
+                && s + k + 1 < ctx.len()
+                && ctx.kind(s + k + 1) == TokenKind::Ident
+        };
+        let what = match next(1) {
+            Some("{") => "block",
+            Some("impl") => "impl",
+            Some("fn") if named_fn(1) => "fn",
+            Some("extern") if named_fn(3) => "fn",
+            _ => continue,
+        };
+        if !has_safety_comment_above(ctx, s) {
+            out.push(ctx.diag(
+                "unsafe-safety-comment",
+                s,
+                format!(
+                    "`unsafe` {what} without a `// SAFETY:` comment on the lines directly \
+                     above; state why the operation's requirements hold"
+                ),
+            ));
+        }
+    }
+}
+
+/// Whether the run of comment and attribute lines directly above the line
+/// of significant token `s` holds a `SAFETY:` comment or a `# Safety` doc
+/// section. Code before `s` on its own line is skipped; a blank line or
+/// any other code ends the run.
+fn has_safety_comment_above(ctx: &FileContext<'_>, s: usize) -> bool {
+    let line = ctx.line(s);
+    let mut t = ctx.sig[s];
+    while t > 0 {
+        t -= 1;
+        let tok = ctx.tokens[t];
+        let text = tok.text(ctx.source);
+        match tok.kind {
+            TokenKind::LineComment | TokenKind::BlockComment => {
+                if text.contains("SAFETY:") || text.contains("# Safety") {
+                    return true;
+                }
+            }
+            TokenKind::Whitespace if text.matches('\n').count() > 1 => return false,
+            TokenKind::Whitespace => {}
+            _ if tok.line == line => {}
+            // An attribute (`#[…]` or `#![…]`) between comment and item.
+            TokenKind::Punct if text == "]" => match attribute_start(ctx, t) {
+                Some(start) => t = start,
+                None => return false,
+            },
+            _ => return false,
+        }
+    }
+    false
+}
+
+/// The token index of the `#` opening the attribute whose closing `]` is
+/// token `close`, or `None` when the brackets are not an attribute.
+fn attribute_start(ctx: &FileContext<'_>, close: usize) -> Option<usize> {
+    let mut s = ctx.sig.binary_search(&close).ok()?;
+    let mut depth = 0usize;
+    loop {
+        match ctx.text(s) {
+            "]" => depth += 1,
+            "[" => {
+                depth -= 1;
+                if depth == 0 {
+                    break;
+                }
+            }
+            _ => {}
+        }
+        s = s.checked_sub(1)?;
+    }
+    let hash = match ctx.text(s.checked_sub(1)?) {
+        "#" => s - 1,
+        "!" if ctx.text(s.checked_sub(2)?) == "#" => s - 2,
+        _ => return None,
+    };
+    Some(ctx.sig[hash])
+}
+
 /// Per-lint totals for the summary table.
 #[must_use]
 pub fn tally(diags: &[Diagnostic]) -> BTreeMap<&'static str, usize> {
@@ -1074,6 +1176,18 @@ mod tests {
             vec!["expect", "index-literal", "panic", "unwrap"]
         );
         assert!(lint_ids("crates/cli/src/main.rs", src).is_empty());
+    }
+
+    #[test]
+    fn unsafe_safety_comment_applies_to_library_scopes_only() {
+        let src = "fn f(p: *const u8) -> u8 { unsafe { *p } }";
+        assert_eq!(lint_ids(SEEDED, src), vec!["unsafe-safety-comment"]);
+        assert_eq!(lint_ids("src/lib.rs", src), vec!["unsafe-safety-comment"]);
+        // Binaries and benches (allocator shims, libc calls) are exempt.
+        assert!(lint_ids("crates/bench/src/bin/bench_kernels.rs", src).is_empty());
+        assert!(lint_ids("perfbench/benches/sys.rs", src).is_empty());
+        let commented = "fn f(p: &u8) -> u8 {\n    // SAFETY: from a reference.\n    unsafe { *std::ptr::from_ref(p) }\n}";
+        assert!(lint_ids(SEEDED, commented).is_empty());
     }
 
     #[test]

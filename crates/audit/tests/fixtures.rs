@@ -188,6 +188,33 @@ fn stale_waivers_are_reported_and_used_ones_are_not() {
     assert!(d.message.contains("float-eq"), "{}", d.message);
 }
 
+/// Every `unsafe` line marked `BAD` in the fixture fires, on its own
+/// line; the commented blocks, the documented `unsafe fn`, the comment run
+/// across an attribute and the function-pointer type stay silent.
+#[test]
+fn unsafe_without_safety_comment_is_flagged() {
+    let report = fixture_report();
+    let fired: Vec<(u32, &str)> = report
+        .diagnostics
+        .iter()
+        .filter(|d| d.file == "unsafe_safety.rs")
+        .map(|d| (d.line, d.lint))
+        .collect();
+    let fixture = std::fs::read_to_string(
+        Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("fixtures")
+            .join("unsafe_safety.rs"),
+    )
+    .expect("fixture readable");
+    let expected: Vec<(u32, &str)> = (1..)
+        .zip(fixture.lines())
+        .filter(|(_, l)| l.contains("unsafe") && l.contains("// BAD"))
+        .map(|(n, _)| (n, "unsafe-safety-comment"))
+        .collect();
+    assert_eq!(expected.len(), 6);
+    assert_eq!(fired, expected);
+}
+
 #[test]
 fn lexer_edges_yield_exactly_one_real_violation() {
     let report = fixture_report();

@@ -616,6 +616,9 @@ mod tests {
 
     #[test]
     fn unseal_handler_rejects_unknown_and_malformed_records() {
+        use fairprep_ml::matrix::Matrix;
+        use fairprep_ml::model::{Classifier, DecisionTree};
+
         let unknown = obj(vec![("kind", Json::Str("quantile_fill".into()))]);
         assert!(matches!(
             unseal_handler(&unknown).map(|_| ()).unwrap_err(),
@@ -633,5 +636,66 @@ mod tests {
             unseal_handler(&broken).map(|_| ()).unwrap_err(),
             Error::Seal(_)
         ));
+
+        // A model-based record imputing `job` from one numeric input (`age`)
+        // with the given one-vs-rest members.
+        let model_based = |members: Vec<Json>| {
+            let categories = ["clerk", "chef"][..members.len()]
+                .iter()
+                .map(|c| Json::Str((*c).into()))
+                .collect();
+            let encoding = obj(vec![("mean", Json::bits(40.0)), ("std", Json::bits(20.0))]);
+            let input = obj(vec![
+                ("name", Json::Str("age".into())),
+                ("encoding", obj(vec![("num", encoding)])),
+            ]);
+            let record = obj(vec![
+                ("target", Json::Str("job".into())),
+                ("inputs", Json::Arr(vec![input])),
+                (
+                    "model",
+                    obj(vec![
+                        ("categories", Json::Arr(categories)),
+                        ("models", Json::Arr(members)),
+                    ]),
+                ),
+            ]);
+            obj(vec![
+                ("kind", Json::Str(model_based::KIND.into())),
+                ("models", Json::Arr(vec![record])),
+                ("fallback", Json::Arr(vec![])),
+            ])
+        };
+        let logistic = |weights: &[f64]| {
+            obj(vec![
+                ("kind", Json::Str("logistic".into())),
+                ("weights", Json::bits_vec(weights)),
+                ("intercept", Json::bits(0.0)),
+            ])
+        };
+        let valid = unseal_handler(&model_based(vec![logistic(&[1.0]), logistic(&[-1.0])]))
+            .unwrap()
+            .handle_missing(&dataset_with_missing())
+            .unwrap();
+        assert_eq!(valid.frame().column("job").unwrap().missing_count(), 0);
+
+        let x = Matrix::from_rows(&[vec![0.0], vec![1.0]]).unwrap();
+        let tree = DecisionTree::default()
+            .fit(&x, &[0.0, 1.0], &[1.0; 2], 0)
+            .unwrap()
+            .seal()
+            .unwrap();
+        let hostile = [
+            ("no categories or models", vec![]),
+            (
+                "a member that is not logistic",
+                vec![logistic(&[1.0]), tree],
+            ),
+            ("weights wider than the input", vec![logistic(&[1.0, 2.0])]),
+        ];
+        for (case, members) in hostile {
+            let err = unseal_handler(&model_based(members)).map(|_| ());
+            assert!(matches!(err, Err(Error::Seal(_))), "{case}: {err:?}");
+        }
     }
 }

@@ -18,11 +18,12 @@
 //! linear learned imputer preserves that finding while exercising the same
 //! lifecycle code path.
 
-use fairprep_data::column::{ColumnKind, OwnedValue, Value};
+use fairprep_data::column::{Column, ColumnKind, OwnedValue, Value};
 use fairprep_data::dataset::BinaryLabelDataset;
 use fairprep_data::error::{Error, Result};
 use fairprep_data::rng::derive_seed;
-use fairprep_ml::matrix::{dot, Matrix};
+use fairprep_ml::matrix::{dot, Matrix, SGD_PREFETCH_AHEAD};
+use fairprep_ml::model::logistic::FittedLogisticRegression;
 use fairprep_ml::model::{
     Classifier, FittedClassifier, LogisticRegressionConfig, LogisticRegressionSgd, Penalty,
 };
@@ -195,6 +196,7 @@ impl ColumnModel {
     ) -> Result<ColumnModel> {
         // Build the input encoding from all feature columns except the target.
         let mut inputs = Vec::new();
+        let mut columns = Vec::new();
         for name in feature_columns {
             if name == target {
                 continue;
@@ -222,6 +224,7 @@ impl ColumnModel {
                 ColumnKind::Categorical => InputEncoding::Categorical(OneHotEncoder::fit(col)?),
             };
             inputs.push((name.clone(), encoding));
+            columns.push(col);
         }
         let width: usize = inputs.iter().map(|(_, e)| e.width()).sum();
 
@@ -238,7 +241,7 @@ impl ColumnModel {
 
         let mut x = Matrix::zeros(observed.len(), width);
         for (r, &i) in observed.iter().enumerate() {
-            encode_row(train, &inputs, i, x.row_mut(r))?;
+            encode_row(&inputs, &columns, i, x.row_mut(r))?;
         }
 
         let model = match target_col.kind() {
@@ -315,10 +318,19 @@ impl ColumnModel {
         })
     }
 
-    /// Predicts the target value for row `i` of `data`.
-    fn predict(&self, data: &BinaryLabelDataset, i: usize) -> Result<OwnedValue> {
+    /// Looks this model's input columns up in `data`, in input order.
+    fn input_columns<'a>(&self, data: &'a BinaryLabelDataset) -> Result<Vec<&'a Column>> {
+        self.inputs
+            .iter()
+            .map(|(name, _)| data.frame().column(name))
+            .collect()
+    }
+
+    /// Predicts the target value for row `i` of the input `columns`
+    /// resolved by [`ColumnModel::input_columns`].
+    fn predict(&self, columns: &[&Column], i: usize) -> Result<OwnedValue> {
         let mut row = vec![0.0; self.width];
-        encode_row(data, &self.inputs, i, &mut row)?;
+        encode_row(&self.inputs, columns, i, &mut row)?;
         match &self.model {
             TargetModel::Categorical { categories, models } => {
                 let x = Matrix::from_vec(1, self.width, row)?;
@@ -345,19 +357,18 @@ impl ColumnModel {
     }
 }
 
-/// Encodes the input features of row `i` into `out`.
+/// Encodes the input features of row `i` into `out`; `columns` holds the
+/// column of each of `inputs`, in the same order.
 fn encode_row(
-    data: &BinaryLabelDataset,
     inputs: &[(String, InputEncoding)],
+    columns: &[&Column],
     i: usize,
     out: &mut [f64],
 ) -> Result<()> {
     let mut offset = 0usize;
-    for (name, enc) in inputs {
-        let col = data.frame().column(name)?;
-        let value = col.get(i);
+    for ((_, enc), col) in inputs.iter().zip(columns) {
         let w = enc.width();
-        enc.encode_into(&value, &mut out[offset..offset + w])?;
+        enc.encode_into(&col.get(i), &mut out[offset..offset + w])?;
         offset += w;
     }
     Ok(())
@@ -374,7 +385,10 @@ fn fit_ridge_sgd(x: &Matrix, y: &[f64], epochs: usize, alpha: f64, seed: u64) ->
     let mut t: u64 = 0;
     for _ in 0..epochs.max(1) {
         order.shuffle(&mut rng);
-        for &i in &order {
+        for (k, &i) in order.iter().enumerate() {
+            if let Some(&ahead) = order.get(k + SGD_PREFETCH_AHEAD) {
+                x.prefetch_row(ahead);
+            }
             t += 1;
             #[allow(clippy::cast_precision_loss)]
             let eta = 0.05 / (t as f64).powf(0.25);
@@ -450,7 +464,21 @@ fn seal_target_model(model: &TargetModel) -> Result<Json> {
     }
 }
 
-fn unseal_target_model(v: &Json) -> Result<TargetModel> {
+/// Reconstructs the model predicting `target` from inputs that encode to
+/// `width` values. Rejects records that would load but fail at prediction:
+/// a one-vs-rest record with no categories, a member that is not a
+/// logistic model, or weights of another width.
+fn unseal_target_model(v: &Json, target: &str, width: usize) -> Result<TargetModel> {
+    let check_width = |weights: &[f64]| {
+        if weights.len() == width {
+            Ok(())
+        } else {
+            Err(sealing::seal_err(format!(
+                "imputer for {target}: weight width {} does not match input width {width}",
+                weights.len()
+            )))
+        }
+    };
     if let Some(categories) = v.get("categories") {
         let categories: Vec<String> = categories
             .as_array()
@@ -462,9 +490,18 @@ fn unseal_target_model(v: &Json) -> Result<TargetModel> {
                     .ok_or_else(|| sealing::seal_err("category is not a string"))
             })
             .collect::<Result<_>>()?;
+        if categories.is_empty() {
+            return Err(sealing::seal_err(format!(
+                "imputer for {target}: one-vs-rest record has no categories"
+            )));
+        }
         let models = sealing::req_arr(v, "models")?
             .iter()
-            .map(fairprep_ml::model::unseal_classifier)
+            .map(|m| {
+                let model = FittedLogisticRegression::unseal(m)?;
+                check_width(&model.weights)?;
+                Ok(Box::new(model) as Box<dyn FittedClassifier>)
+            })
             .collect::<Result<Vec<_>>>()?;
         if models.len() != categories.len() {
             return Err(sealing::seal_err(
@@ -473,8 +510,10 @@ fn unseal_target_model(v: &Json) -> Result<TargetModel> {
         }
         return Ok(TargetModel::Categorical { categories, models });
     }
+    let weights = sealing::req_f64_vec(v, "weights")?;
+    check_width(&weights)?;
     Ok(TargetModel::Numeric {
-        weights: sealing::req_f64_vec(v, "weights")?,
+        weights,
         intercept: sealing::req_f64(v, "intercept")?,
         mean: sealing::req_f64(v, "mean")?,
         std: sealing::req_f64(v, "std")?,
@@ -495,15 +534,7 @@ pub(crate) fn unseal_model_based(v: &Json) -> Result<FittedModelBasedImputer> {
             ));
         }
         let width: usize = inputs.iter().map(|(_, e)| e.width()).sum();
-        let model = unseal_target_model(sealing::req(record, "model")?)?;
-        if let TargetModel::Numeric { weights, .. } = &model {
-            if weights.len() != width {
-                return Err(sealing::seal_err(format!(
-                    "imputer for {target}: weight width {} does not match input width {width}",
-                    weights.len()
-                )));
-            }
-        }
+        let model = unseal_target_model(sealing::req(record, "model")?, &target, width)?;
         models.push(ColumnModel {
             target,
             inputs,
@@ -529,8 +560,12 @@ impl FittedMissingValueHandler for FittedModelBasedImputer {
         for model in &self.models {
             let col = data.frame().column(&model.target)?;
             let missing: Vec<usize> = (0..col.len()).filter(|&i| col.is_missing(i)).collect();
+            if missing.is_empty() {
+                continue;
+            }
+            let columns = model.input_columns(data)?;
             for i in missing {
-                let value = model.predict(data, i)?;
+                let value = model.predict(&columns, i)?;
                 out.frame_mut().set_value(i, &model.target, value)?;
             }
         }

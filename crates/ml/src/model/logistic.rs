@@ -19,7 +19,7 @@ use fairprep_data::rng::component_rng;
 use fairprep_trace::json::{obj, Value};
 
 use crate::kernels::sgd_step;
-use crate::matrix::{dot, sigmoid, Matrix};
+use crate::matrix::{dot, sigmoid, Matrix, SGD_PREFETCH_AHEAD};
 use crate::model::{validate_training_inputs, Classifier, FittedClassifier};
 use crate::sealing;
 
@@ -175,7 +175,10 @@ impl Classifier for LogisticRegressionSgd {
 
         for _epoch in 0..c.max_epochs {
             order.shuffle(&mut rng);
-            for &i in &order {
+            for (k, &i) in order.iter().enumerate() {
+                if let Some(&ahead) = order.get(k + SGD_PREFETCH_AHEAD) {
+                    x.prefetch_row(ahead);
+                }
                 t += 1;
                 #[allow(clippy::cast_precision_loss)]
                 let eta = c.eta0 / (t as f64).powf(c.power_t);
@@ -213,8 +216,9 @@ pub struct FittedLogisticRegression {
 pub(crate) const KIND: &str = "logistic";
 
 impl FittedLogisticRegression {
-    /// Reconstructs the model from a sealed component record.
-    pub(crate) fn unseal(v: &Value) -> Result<FittedLogisticRegression> {
+    /// Reconstructs the model from a sealed component record, rejecting
+    /// records of any other kind.
+    pub fn unseal(v: &Value) -> Result<FittedLogisticRegression> {
         sealing::expect_kind(v, KIND)?;
         Ok(FittedLogisticRegression {
             weights: sealing::req_f64_vec(v, "weights")?,

@@ -179,6 +179,40 @@ fn full_manifest_embeds_canonical_prefix() {
     assert!(!canonical.contains("wall_ns"));
 }
 
+/// Bit pin for the learned imputer across commits: the sealed
+/// `ModelBasedImputer` fitted at fixed seeds must keep its FNV-1a digest.
+/// The adult sample exercises the one-vs-rest logistic path (workclass,
+/// occupation and native-country are missing); the payment data, whose
+/// numeric `age` is missing, exercises the ridge path. Any change to the
+/// arithmetic or the visiting order of either SGD loop moves a digest;
+/// update a constant only for an intended change of results.
+#[test]
+fn model_based_imputer_seal_digests_are_pinned() {
+    use fairprep::core::journal::config_fingerprint;
+
+    let cases = [
+        (
+            "adult",
+            generate_adult(1_500, 5, AdultProtected::Race).unwrap(),
+            "fnv1a64:fd7ac8796eb399ad",
+        ),
+        (
+            "payment",
+            generate_payment(800, 13).unwrap(),
+            "fnv1a64:548fbef730bcdb0c",
+        ),
+    ];
+    for (name, data, expected) in cases {
+        let sealed = ModelBasedImputer::default()
+            .fit(&data, 17)
+            .unwrap()
+            .seal()
+            .unwrap()
+            .to_json();
+        assert_eq!(config_fingerprint(&sealed), expected, "{name}");
+    }
+}
+
 #[test]
 fn sweeps_are_reproducible_under_parallelism() {
     use fairprep_core::runner::{run_parallel, Job};
