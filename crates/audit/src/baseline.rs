@@ -28,6 +28,8 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::path::Path;
 
+use fairprep_trace::json::{self, Value};
+
 use crate::lints::Diagnostic;
 
 /// On-disk schema version for `audit.baseline.json`.
@@ -108,32 +110,24 @@ impl Baseline {
     /// # Errors
     /// Returns a message describing the first syntax or schema problem.
     pub fn parse(text: &str) -> Result<Self, String> {
-        let value = json::parse(text)?;
-        let json::Value::Object(top) = value else {
+        let top = json::parse(text)?;
+        if top.as_object().is_none() {
             return Err("top level must be an object".to_string());
-        };
-        let version = top
-            .iter()
-            .find(|(k, _)| k == "schema_version")
-            .ok_or("missing schema_version")?;
-        match version.1 {
-            json::Value::Number(n) if n == SCHEMA_VERSION as f64 => {}
-            _ => {
-                return Err(format!(
-                    "unsupported schema_version (want {SCHEMA_VERSION})"
-                ))
-            }
         }
-        let entries_val = top
-            .iter()
-            .find(|(k, _)| k == "entries")
-            .ok_or("missing entries")?;
-        let json::Value::Object(pairs) = &entries_val.1 else {
-            return Err("entries must be an object".to_string());
-        };
+        let version = top.get("schema_version").ok_or("missing schema_version")?;
+        if version.as_u64() != Some(SCHEMA_VERSION) {
+            return Err(format!(
+                "unsupported schema_version (want {SCHEMA_VERSION})"
+            ));
+        }
+        let pairs = top
+            .get("entries")
+            .ok_or("missing entries")?
+            .as_object()
+            .ok_or("entries must be an object")?;
         let mut entries = BTreeMap::new();
         for (key, v) in pairs {
-            let json::Value::Number(n) = v else {
+            let Value::Num(n) = v else {
                 return Err(format!("entry `{key}` must be a number"));
             };
             if *n < 0.0 || n.fract() != 0.0 {
@@ -156,7 +150,9 @@ impl Baseline {
                 out.push(',');
             }
             first = false;
-            let _ = write!(out, "\n    {}: {count}", json::escape(key));
+            out.push_str("\n    ");
+            json::write_escaped(key, &mut out);
+            let _ = write!(out, ": {count}");
         }
         if !self.entries.is_empty() {
             out.push('\n');
@@ -198,208 +194,6 @@ impl Baseline {
             findings,
             stale_keys,
         }
-    }
-}
-
-/// A minimal recursive-descent JSON reader and string escaper — just
-/// enough for the baseline schema (objects, strings, numbers). No
-/// dependencies allowed in this workspace.
-pub mod json {
-    /// A parsed JSON value. Objects preserve insertion order.
-    #[derive(Debug, Clone, PartialEq)]
-    pub enum Value {
-        /// An object as an ordered key/value list.
-        Object(Vec<(String, Value)>),
-        /// An array.
-        Array(Vec<Value>),
-        /// A string (already unescaped).
-        String(String),
-        /// Any number, as f64.
-        Number(f64),
-        /// `true`/`false`.
-        Bool(bool),
-        /// `null`.
-        Null,
-    }
-
-    /// Parses a complete JSON document.
-    ///
-    /// # Errors
-    /// Returns a message with the byte offset of the first problem.
-    pub fn parse(text: &str) -> Result<Value, String> {
-        let bytes = text.as_bytes();
-        let mut pos = 0usize;
-        let value = parse_value(bytes, &mut pos)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
-            return Err(format!("trailing data at byte {pos}"));
-        }
-        Ok(value)
-    }
-
-    /// Escapes `s` as a JSON string literal, quotes included.
-    #[must_use]
-    pub fn escape(s: &str) -> String {
-        let mut out = String::with_capacity(s.len() + 2);
-        out.push('"');
-        for c in s.chars() {
-            match c {
-                '"' => out.push_str("\\\""),
-                '\\' => out.push_str("\\\\"),
-                '\n' => out.push_str("\\n"),
-                '\r' => out.push_str("\\r"),
-                '\t' => out.push_str("\\t"),
-                c if (c as u32) < 0x20 => {
-                    out.push_str(&format!("\\u{:04x}", c as u32));
-                }
-                c => out.push(c),
-            }
-        }
-        out.push('"');
-        out
-    }
-
-    fn skip_ws(bytes: &[u8], pos: &mut usize) {
-        while *pos < bytes.len() && bytes[*pos].is_ascii_whitespace() {
-            *pos += 1;
-        }
-    }
-
-    fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            Some(b'{') => parse_object(bytes, pos),
-            Some(b'[') => parse_array(bytes, pos),
-            Some(b'"') => Ok(Value::String(parse_string(bytes, pos)?)),
-            Some(b't') => parse_lit(bytes, pos, "true", Value::Bool(true)),
-            Some(b'f') => parse_lit(bytes, pos, "false", Value::Bool(false)),
-            Some(b'n') => parse_lit(bytes, pos, "null", Value::Null),
-            Some(_) => parse_number(bytes, pos),
-            None => Err("unexpected end of input".to_string()),
-        }
-    }
-
-    fn parse_lit(bytes: &[u8], pos: &mut usize, lit: &str, value: Value) -> Result<Value, String> {
-        if bytes[*pos..].starts_with(lit.as_bytes()) {
-            *pos += lit.len();
-            Ok(value)
-        } else {
-            Err(format!("invalid literal at byte {}", *pos))
-        }
-    }
-
-    fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
-        *pos += 1; // consume '{'
-        let mut pairs = Vec::new();
-        skip_ws(bytes, pos);
-        if bytes.get(*pos) == Some(&b'}') {
-            *pos += 1;
-            return Ok(Value::Object(pairs));
-        }
-        loop {
-            skip_ws(bytes, pos);
-            let key = parse_string(bytes, pos)?;
-            skip_ws(bytes, pos);
-            if bytes.get(*pos) != Some(&b':') {
-                return Err(format!("expected ':' at byte {}", *pos));
-            }
-            *pos += 1;
-            let value = parse_value(bytes, pos)?;
-            pairs.push((key, value));
-            skip_ws(bytes, pos);
-            match bytes.get(*pos) {
-                Some(b',') => *pos += 1,
-                Some(b'}') => {
-                    *pos += 1;
-                    return Ok(Value::Object(pairs));
-                }
-                _ => return Err(format!("expected ',' or '}}' at byte {}", *pos)),
-            }
-        }
-    }
-
-    fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
-        *pos += 1; // consume '['
-        let mut items = Vec::new();
-        skip_ws(bytes, pos);
-        if bytes.get(*pos) == Some(&b']') {
-            *pos += 1;
-            return Ok(Value::Array(items));
-        }
-        loop {
-            items.push(parse_value(bytes, pos)?);
-            skip_ws(bytes, pos);
-            match bytes.get(*pos) {
-                Some(b',') => *pos += 1,
-                Some(b']') => {
-                    *pos += 1;
-                    return Ok(Value::Array(items));
-                }
-                _ => return Err(format!("expected ',' or ']' at byte {}", *pos)),
-            }
-        }
-    }
-
-    fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
-        if bytes.get(*pos) != Some(&b'"') {
-            return Err(format!("expected string at byte {}", *pos));
-        }
-        *pos += 1;
-        let mut out = String::new();
-        loop {
-            match bytes.get(*pos) {
-                None => return Err("unterminated string".to_string()),
-                Some(b'"') => {
-                    *pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    *pos += 1;
-                    match bytes.get(*pos) {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'u') => {
-                            let hex = bytes
-                                .get(*pos + 1..*pos + 5)
-                                .ok_or("truncated \\u escape")?;
-                            let hex = std::str::from_utf8(hex)
-                                .map_err(|_| "invalid \\u escape".to_string())?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| "invalid \\u escape".to_string())?;
-                            out.push(char::from_u32(code).unwrap_or('\u{FFFD}'));
-                            *pos += 4;
-                        }
-                        _ => return Err(format!("bad escape at byte {}", *pos)),
-                    }
-                    *pos += 1;
-                }
-                Some(_) => {
-                    // Advance one full UTF-8 character.
-                    let s = std::str::from_utf8(&bytes[*pos..])
-                        .map_err(|_| "invalid utf-8 in string".to_string())?;
-                    let c = s.chars().next().ok_or("unterminated string")?;
-                    out.push(c);
-                    *pos += c.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
-        let start = *pos;
-        while *pos < bytes.len()
-            && matches!(bytes[*pos], b'-' | b'+' | b'.' | b'e' | b'E' | b'0'..=b'9')
-        {
-            *pos += 1;
-        }
-        let text = std::str::from_utf8(&bytes[start..*pos]).map_err(|_| "bad number")?;
-        text.parse::<f64>()
-            .map(Value::Number)
-            .map_err(|_| format!("invalid number at byte {start}"))
     }
 }
 
@@ -469,11 +263,19 @@ mod tests {
         assert!(Baseline::parse("{\"schema_version\": 9, \"entries\": {}}").is_err());
         assert!(Baseline::parse("{\"schema_version\": 1, \"entries\": {\"k\": -1}}").is_err());
         assert!(Baseline::parse("{\"schema_version\": 1, \"entries\": {}} x").is_err());
+        assert!(Baseline::parse(&"[".repeat(200_000)).is_err());
     }
 
     #[test]
     fn json_escape_handles_controls() {
-        assert_eq!(json::escape("a\"b\\c\n"), "\"a\\\"b\\\\c\\n\"");
-        assert_eq!(json::escape("\u{1}"), "\"\\u0001\"");
+        let mut base = Baseline::default();
+        base.entries
+            .insert("a\"b\\c\n\u{1}.rs:unwrap".to_string(), 1);
+        let text = base.to_json();
+        assert!(
+            text.contains("\"a\\\"b\\\\c\\n\\u0001.rs:unwrap\": 1"),
+            "{text}"
+        );
+        assert_eq!(Baseline::parse(&text).expect("roundtrip"), base);
     }
 }

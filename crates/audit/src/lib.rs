@@ -1,8 +1,9 @@
 //! # fairprep-audit
 //!
-//! A dependency-free static analyzer that enforces the FairPrep lifecycle
-//! invariants across the workspace source tree. Three layers, all built on
-//! a small lossless lexer:
+//! A static analyzer that enforces the FairPrep lifecycle invariants
+//! across the workspace source tree. Its only dependency is
+//! `fairprep-trace`, whose JSON codec reads and writes the baseline file.
+//! Three layers, all built on a small lossless lexer:
 //!
 //! 1. **Token lints** over the significant-token stream — L1 isolation
 //!    (`fit-on-test`, `vault-row-leak`), L2 determinism (`hash-iter`,
@@ -166,8 +167,13 @@ pub fn audit(root: &Path) -> std::io::Result<AuditReport> {
 /// Renders the machine-readable JSON diagnostics document.
 #[must_use]
 pub fn render_json(report: &AuditReport, gated: &GatedReport) -> String {
-    use baseline::json::escape;
     use std::fmt::Write as _;
+
+    let escape = |s: &str| {
+        let mut quoted = String::new();
+        fairprep_trace::json::write_escaped(s, &mut quoted);
+        quoted
+    };
 
     let mut out = String::new();
     let _ = write!(

@@ -3,11 +3,10 @@
 //!
 //! Two claims are measured, never asserted:
 //!
-//! 1. **Kernel speedups.** Every widened kernel is timed against the naive
-//!    scalar loop it replaced (`dot_scalar`, per-row reference matvec,
-//!    plain SGD/gather loops). `dot_lanes` — the 8-independent-accumulator
-//!    variant that is *not* bit-compatible with the frozen reduction tree —
-//!    is included to quantify the price of determinism.
+//! 1. **Kernel speedups.** Each kernel is timed against the plain loop it
+//!    replaced: the frozen-tree `dot` against its scalar specification
+//!    `dot_ref`, and the `gather` and `Matrix::take_rows` copies against
+//!    collecting through iterators and per-row `Vec`s.
 //! 2. **Ingest memory.** A counting global allocator records the peak
 //!    allocation delta of materialized `read_csv` (grows with row count)
 //!    versus streaming `read_csv_chunked` into a bounded sink (grows with
@@ -16,9 +15,8 @@
 //!
 //! The harness is honest about its provenance: the JSON records
 //! `available_cores` and `build_profile` — kernel speedups here are
-//! width/ILP effects and remain valid on one core, but any
-//! thread-scaling numbers from a single-core box would not be, and a
-//! debug build's numbers are meaningless either way.
+//! width/ILP effects and remain valid on one core, but a debug build's
+//! numbers are meaningless.
 //!
 //! ```text
 //! cargo run --release -p fairprep-bench --bin bench_kernels [--full]
@@ -40,7 +38,7 @@ use fairprep_data::chunked::{read_csv_chunked, ChunkStats};
 use fairprep_data::column::ColumnKind;
 use fairprep_data::csv::{read_csv, DEFAULT_MISSING_TOKENS};
 use fairprep_data::parallel::available_threads;
-use fairprep_ml::kernels::{dot, dot_lanes, dot_scalar, gather_vec, matvec_into, sgd_step};
+use fairprep_ml::kernels::{dot, dot_ref, gather};
 use fairprep_ml::matrix::Matrix;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -144,71 +142,34 @@ fn bench_kernels(n: usize, rng: &mut StdRng) -> Vec<KernelResult> {
         });
     };
 
-    // Reductions: the naive single-accumulator loop is the baseline the
-    // seed's scalar code paths would have used without ILP.
-    let scalar = median_secs(reps, || {
-        std::hint::black_box(dot_scalar(std::hint::black_box(&a), &b));
+    // Reduction: the scalar specification of the same frozen tree.
+    let ref_secs = median_secs(reps, || {
+        std::hint::black_box(dot_ref(std::hint::black_box(&a), &b));
     });
-    push("dot_scalar", "dot_scalar", scalar, scalar);
-    let frozen = median_secs(reps, || {
+    let dot_secs = median_secs(reps, || {
         std::hint::black_box(dot(std::hint::black_box(&a), &b));
     });
-    push("dot", "dot_scalar", frozen, scalar);
-    let lanes = median_secs(reps, || {
-        std::hint::black_box(dot_lanes(std::hint::black_box(&a), &b));
-    });
-    push("dot_lanes", "dot_scalar", lanes, scalar);
+    push("dot", "dot_ref", dot_secs, ref_secs);
 
-    // Matrix–vector product: n elements as (n/16) rows x 16 cols.
-    let cols = 16.min(n.max(1));
-    let mrows = n / cols;
-    let data = &a[..mrows * cols];
-    let w = &b[..cols];
-    let mut out = vec![0.0; mrows];
-    let ref_secs = median_secs(reps, || {
-        for (r, slot) in out.iter_mut().enumerate() {
-            *slot = dot_scalar(&data[r * cols..(r + 1) * cols], w);
-        }
-        std::hint::black_box(&out);
-    });
-    push("matvec_ref", "matvec_ref", ref_secs, ref_secs);
-    let kern_secs = median_secs(reps, || {
-        matvec_into(std::hint::black_box(data), cols, w, &mut out);
-        std::hint::black_box(&out);
-    });
-    push("matvec", "matvec_ref", kern_secs, ref_secs);
-
-    // SGD update step over a full weight vector of length n.
-    let mut weights = vec![0.0_f64; n];
-    let sgd_ref_secs = median_secs(reps, || {
-        for (wj, xj) in weights.iter_mut().zip(&a) {
-            let grad = 0.25 * xj + 1e-4 * *wj;
-            *wj -= 0.1 * grad;
-        }
-        std::hint::black_box(&weights);
-    });
-    push("sgd_ref", "sgd_ref", sgd_ref_secs, sgd_ref_secs);
-    let sgd_secs = median_secs(reps, || {
-        sgd_step(&mut weights, std::hint::black_box(&a), 0.25, 0.1, 0.0, 1e-4);
-        std::hint::black_box(&weights);
-    });
-    push("sgd_step", "sgd_ref", sgd_secs, sgd_ref_secs);
-
-    // Gathers: strided index pattern, old Vec-of-Vec collection as baseline.
+    // Gather: strided index pattern, iterator collection as baseline.
     let idx: Vec<usize> = (0..n).map(|i| (i * 7919) % n.max(1)).collect();
     let gather_ref_secs = median_secs(reps, || {
         let out: Vec<f64> = idx.iter().map(|&i| a[i]).collect();
         std::hint::black_box(&out);
     });
-    push("gather_ref", "gather_ref", gather_ref_secs, gather_ref_secs);
     let gather_secs = median_secs(reps, || {
-        std::hint::black_box(gather_vec(&a, &idx));
+        let mut out = vec![0.0; idx.len()];
+        gather(&a, &idx, &mut out);
+        std::hint::black_box(&out);
     });
     push("gather", "gather_ref", gather_secs, gather_ref_secs);
 
     // Row gather through Matrix: the seed collected each row into its own
     // Vec before flattening; the kernelized path copies slices directly.
-    let m = Matrix::from_vec(mrows, cols, data.to_vec()).expect("consistent dimensions");
+    let cols = 16.min(n.max(1));
+    let mrows = n / cols;
+    let m =
+        Matrix::from_vec(mrows, cols, a[..mrows * cols].to_vec()).expect("consistent dimensions");
     let row_idx: Vec<usize> = (0..mrows).map(|i| (i * 31) % mrows.max(1)).collect();
     let take_reps = reps.min(30);
     let take_ref_secs = median_secs(take_reps, || {
@@ -216,12 +177,6 @@ fn bench_kernels(n: usize, rng: &mut StdRng) -> Vec<KernelResult> {
         let flat: Vec<f64> = rows.into_iter().flatten().collect();
         std::hint::black_box(&flat);
     });
-    push(
-        "take_rows_ref",
-        "take_rows_ref",
-        take_ref_secs,
-        take_ref_secs,
-    );
     let take_secs = median_secs(take_reps, || {
         std::hint::black_box(m.take_rows(&row_idx));
     });
@@ -319,15 +274,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     };
     let cores = available_threads();
     let profile = fairprep_bench::build_profile();
-    if cores == 1 {
-        eprintln!("=============================================================");
-        eprintln!("WARNING: only 1 CPU core is available on this machine.");
-        eprintln!("Kernel speedups below are width/ILP effects and remain valid,");
-        eprintln!("but do NOT read any thread-scaling conclusions from this box.");
-        eprintln!("The JSON records available_cores for readers to judge.");
-        eprintln!("=============================================================");
-    }
-
     let mut rng = StdRng::seed_from_u64(46947);
     let mut json = String::from("{\n");
     let _ = write!(

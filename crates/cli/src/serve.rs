@@ -1319,7 +1319,6 @@ fn post_webhook(authority: &str, path: &str, payload: &str) -> Result<(), String
 pub struct Registry {
     entries: BTreeMap<String, Entry>,
     next_request_id: AtomicU64,
-    recording: AtomicBool,
     fixed_latency_us: AtomicU64,
     canary: Option<CanaryConfig>,
     webhook: Option<WebhookSender>,
@@ -1339,7 +1338,6 @@ impl Registry {
         Registry {
             entries: BTreeMap::new(),
             next_request_id: AtomicU64::new(0),
-            recording: AtomicBool::new(true),
             fixed_latency_us: AtomicU64::new(0),
             canary: None,
             webhook: None,
@@ -1501,14 +1499,6 @@ impl Registry {
 
     fn get(&self, fingerprint: &str) -> Option<&Entry> {
         self.entries.get(&normalize_fingerprint(fingerprint))
-    }
-
-    /// Toggles telemetry recording (`true` by default). With recording
-    /// off, requests are scored but no counter, ring, or drift state is
-    /// touched — the knob `bench_telemetry` uses to measure instrumented
-    /// vs uninstrumented serve throughput on one fitted pipeline.
-    pub fn set_recording(&self, on: bool) {
-        self.recording.store(on, Ordering::Relaxed);
     }
 
     /// Forces every recorded request latency to `us` (0 restores real
@@ -1700,7 +1690,6 @@ fn predict(
     body: &str,
     access_log: Option<&AccessLog>,
 ) -> Result<Value, String> {
-    let recording = registry.recording.load(Ordering::Relaxed);
     let started = Instant::now();
     let outcome = (|| {
         let parsed = fairprep_trace::json::parse(body).map_err(|e| format!("bad JSON: {e}"))?;
@@ -1709,17 +1698,13 @@ fn predict(
         // Drift is observed on the *raw* request rows, before the sealed
         // imputer touches them: the sealed training profile was computed
         // on raw training rows, so the two sides bin the same thing.
-        if recording {
-            for drift in &entry.telemetry.drift {
-                if let Ok(column) = frame.column(&drift.name) {
-                    drift.observe(column);
-                }
+        for drift in &entry.telemetry.drift {
+            if let Ok(column) = frame.column(&drift.name) {
+                drift.observe(column);
             }
         }
         let scored = entry.sealed.score_frame(frame).map_err(|e| e.to_string())?;
-        if recording {
-            maybe_shadow_score(registry, entry, &rows, &scored);
-        }
+        maybe_shadow_score(registry, entry, &rows, &scored);
         Ok(scored)
     })();
     let fixed = registry.fixed_latency_us.load(Ordering::Relaxed);
@@ -1730,21 +1715,15 @@ fn predict(
     };
     let result = match outcome {
         Ok(scored) => {
-            if recording {
-                entry.telemetry.record_batch(worker, &scored, elapsed_us);
-            }
+            entry.telemetry.record_batch(worker, &scored, elapsed_us);
             Ok(response_value(&entry.sealed.fingerprint, &scored))
         }
         Err(message) => {
-            if recording {
-                entry.telemetry.record_error(worker);
-            }
+            entry.telemetry.record_error(worker);
             Err(message)
         }
     };
-    if recording {
-        evaluate_alerts(registry, entry, access_log);
-    }
+    evaluate_alerts(registry, entry, access_log);
     result
 }
 

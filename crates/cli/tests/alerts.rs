@@ -2,9 +2,10 @@
 //! armed from a JSON spec stays silent on in-distribution traffic and
 //! fires on an E12-style contaminated stream (JSONL event in the access
 //! log, `alerts` section in `/metrics`, `fairprep_alert_active` in the
-//! Prometheus exposition); alert transitions POST their canonical
-//! payload to a webhook; and canary shadow-scoring counts decision
-//! divergence exactly against an independently served replay.
+//! Prometheus exposition); alert values agree bit for bit with the
+//! scraped window they are computed from; alert transitions POST their
+//! canonical payload to a webhook; and canary shadow-scoring counts
+//! decision divergence exactly against an independently served replay.
 
 use std::io::{Read as _, Write as _};
 use std::sync::OnceLock;
@@ -238,6 +239,83 @@ fn psi_alert_fires_on_contaminated_stream_never_in_distribution() {
 
     server.stop();
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The alert engine reads incremental window aggregates while the
+/// `/metrics` scrape walks the rings. After more than 1,000 rows, when
+/// the 1k rings have evicted, each armed alert's last value must equal,
+/// bit for bit, the number the scrape derives from the same window.
+#[test]
+fn alert_values_match_the_scraped_window_bit_for_bit() {
+    let dir = scratch_dir("agree");
+    let mut registry = registry_with(&dir, &[german()]);
+    let column = registry
+        .drift_columns()
+        .first()
+        .expect("drift column")
+        .clone();
+    let spec_text = format!(
+        r#"[{{"name": "di", "metric": "disparate_impact", "window": "1k",
+             "trip": 0.05, "clear": 0.1, "for": 1000000}},
+           {{"name": "gap", "metric": "favorable_rate_gap", "window": "1k",
+             "trip": 2.0, "for": 1000000}},
+           {{"name": "drift", "metric": "psi", "column": "{column}", "window": "1k",
+             "trip": 1e12, "for": 1000000}}]"#
+    );
+    let specs = parse_specs(&spec_text, &fairprep_cli::serve::WINDOW_LABELS).unwrap();
+    registry.arm_alerts(&specs).unwrap();
+
+    let server = ServerHandle::spawn(registry, 0, 1).unwrap();
+    let path = format!("/predict/{}", german().fingerprint.replace(':', "-"));
+    let data = golden_dataset("german").unwrap();
+    let n = data.n_rows();
+    for batch in 0..13 {
+        let indices: Vec<usize> = (0..100).map(|i| (batch * 100 + i) % n).collect();
+        let (status, body) = http_request(
+            server.addr(),
+            "POST",
+            &path,
+            Some(&rows_body(&data, &indices)),
+        )
+        .unwrap();
+        assert_eq!(status, 200, "{body}");
+    }
+
+    let (_, metrics) = http_request(server.addr(), "GET", "/metrics", None).unwrap();
+    server.stop();
+    std::fs::remove_dir_all(&dir).ok();
+    let pipe = first_pipe(&metrics);
+    let window = pipe.get("window_1k").unwrap();
+    let decisions = window.get("decisions").unwrap();
+    let number = |v: Option<&Value>| {
+        v.and_then(Value::as_f64)
+            .unwrap_or_else(|| panic!("undefined window metric: {metrics}"))
+    };
+    let privileged = number(decisions.get("privileged_rate"));
+    let unprivileged = number(decisions.get("unprivileged_rate"));
+    let psi = window
+        .get("drift")
+        .and_then(Value::as_array)
+        .unwrap()
+        .iter()
+        .find(|d| d.get("column").and_then(Value::as_str) == Some(column.as_str()))
+        .and_then(|d| d.get("psi"));
+    let expected = [
+        ("di", number(decisions.get("disparate_impact"))),
+        ("gap", (privileged - unprivileged).abs()),
+        ("drift", number(psi)),
+    ];
+    let alerts = pipe.get("alerts").and_then(Value::as_array).unwrap();
+    assert_eq!(alerts.len(), expected.len(), "{metrics}");
+    for (alert, (name, want)) in alerts.iter().zip(expected) {
+        assert_eq!(alert.get("name").and_then(Value::as_str), Some(name));
+        let got = number(alert.get("value"));
+        assert_eq!(
+            got.to_bits(),
+            want.to_bits(),
+            "alert {name}: {got} vs scraped {want}"
+        );
+    }
 }
 
 /// A tiny single-request webhook receiver: accepts one connection,

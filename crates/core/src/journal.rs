@@ -53,7 +53,7 @@ impl JournalEntry {
     pub fn to_line(&self) -> String {
         let mut out = String::with_capacity(128);
         out.push_str("{\"config\": ");
-        push_json_str(&mut out, &self.config);
+        json::write_escaped(&self.config, &mut out);
         out.push_str(&format!(", \"seed\": {}", self.seed));
         out.push_str(&format!(", \"ok\": {}", self.ok));
         out.push_str(&format!(", \"retries\": {}", self.retries));
@@ -62,7 +62,7 @@ impl JournalEntry {
             if i > 0 {
                 out.push_str(", ");
             }
-            push_json_str(&mut out, name);
+            json::write_escaped(name, &mut out);
             out.push_str(": ");
             // Same rendering as manifest floats: shortest roundtrip for
             // finite values, null for non-finite (bits below are exact).
@@ -77,11 +77,11 @@ impl JournalEntry {
             if i > 0 {
                 out.push_str(", ");
             }
-            push_json_str(&mut out, name);
+            json::write_escaped(name, &mut out);
             out.push_str(&format!(": \"{:016x}\"", value.to_bits()));
         }
         out.push_str("}, \"error\": ");
-        push_json_str(&mut out, &self.error);
+        json::write_escaped(&self.error, &mut out);
         out.push('}');
         out
     }
@@ -261,22 +261,6 @@ pub fn config_fingerprint(descriptor: &str) -> String {
         hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
     }
     format!("fnv1a64:{hash:016x}")
-}
-
-fn push_json_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 #[cfg(test)]

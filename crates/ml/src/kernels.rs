@@ -8,29 +8,19 @@
 //! access* freely (wider loads, unrolling, preallocated outputs) but must
 //! not change *float semantics*.
 //!
-//! Two reduction flavours exist for the dot product:
+//! [`dot`] is the pipeline reduction: four interleaved accumulators
+//! combined as `(a0+a1) + (a2+a3) + tail`, processing [`LANES`] elements
+//! per loop iteration. This is bit-identical to the seed kernel (the
+//! reduction tree is unchanged; only the memory width grew), so every
+//! golden manifest still verifies. [`dot_ref`] is its readable scalar
+//! specification; the two are proptested bit-for-bit on every tail length.
 //!
-//! * [`dot`] — the pipeline kernel. Four interleaved accumulators combined
-//!   as `(a0+a1) + (a2+a3) + tail`, processing [`LANES`] elements per loop
-//!   iteration. This is bit-identical to the seed kernel (the reduction
-//!   tree is unchanged; only the memory width grew), so every golden
-//!   manifest still verifies. [`dot_ref`] is its readable scalar
-//!   specification; the two are proptested bit-for-bit on every tail
-//!   length.
-//! * [`dot_lanes`] — a free [`LANES`]-accumulator reduction that lets the
-//!   compiler keep a full 8×f64 vector register of independent partial
-//!   sums in flight. It is faster on wide hardware but uses a *different*
-//!   combine tree, so it is **not** bit-compatible with [`dot`] and must
-//!   never feed a manifest-visible number. The `bench_kernels` harness
-//!   reports both so the price of bit-stable determinism stays measured
-//!   instead of assumed.
-//!
-//! Element-wise kernels ([`axpy`], [`sgd_step`]) have no reduction at all:
-//! each output element depends on one input element through a fixed
-//! expression, so any vector width produces identical bits and they are
-//! routed straight into the training loops.
+//! [`sgd_step`] has no reduction at all: each output element depends on
+//! one input element through a fixed expression. It stays the plain loop
+//! of the seed training code, because an 8-lane unrolled form measured
+//! 2–8% slower at the lifecycle's 63–65 column widths.
 
-// audit: allow-file(index-literal, reason = "fixed-width kernels index [f64; 4]/[f64; 8] accumulators and chunks_exact blocks whose lengths are compile-time constants, so literal indices 0..=7 are always in bounds")
+// audit: allow-file(index-literal, reason = "the fixed-width dot kernels index [f64; 4] accumulators and chunks_exact blocks whose lengths are compile-time constants, so literal indices 0..=7 are always in bounds")
 
 /// The memory width of the kernels: elements processed per loop iteration
 /// (8 × f64 = one 512-bit vector register).
@@ -99,89 +89,6 @@ pub fn dot_ref(a: &[f64], b: &[f64]) -> f64 {
     (acc[0] + acc[1]) + (acc[2] + acc[3]) + tail
 }
 
-/// Naive single-accumulator dot product — the textbook scalar loop. Its
-/// sequential dependency chain is what the unrolled kernels exist to
-/// break; `bench_kernels` reports it as the honest "what a plain loop
-/// would cost" baseline. Not bit-compatible with [`dot`] (different
-/// summation order).
-#[must_use]
-pub fn dot_scalar(a: &[f64], b: &[f64]) -> f64 {
-    debug_assert_eq!(a.len(), b.len());
-    let mut acc = 0.0f64;
-    for (x, y) in a.iter().zip(b) {
-        acc += x * y;
-    }
-    acc
-}
-
-/// Free 8-lane dot product: [`LANES`] independent accumulators combined
-/// pairwise, `((a0+a1)+(a2+a3)) + ((a4+a5)+(a6+a7)) + tail`.
-///
-/// **Not bit-compatible with [`dot`]** — the partial sums differ, so the
-/// result differs in the last bits for general inputs. It exists for
-/// future code paths without a frozen-bits constraint and so the
-/// determinism tax shows up in `BENCH_kernels.json` as a measured number.
-#[must_use]
-pub fn dot_lanes(a: &[f64], b: &[f64]) -> f64 {
-    debug_assert_eq!(a.len(), b.len());
-    let mut acc = [0.0f64; LANES];
-    let split = a.len() - a.len() % LANES;
-    let (a8, a_tail) = a.split_at(split);
-    let (b8, b_tail) = b.split_at(split);
-    for (xs, ys) in a8.chunks_exact(LANES).zip(b8.chunks_exact(LANES)) {
-        acc[0] += xs[0] * ys[0];
-        acc[1] += xs[1] * ys[1];
-        acc[2] += xs[2] * ys[2];
-        acc[3] += xs[3] * ys[3];
-        acc[4] += xs[4] * ys[4];
-        acc[5] += xs[5] * ys[5];
-        acc[6] += xs[6] * ys[6];
-        acc[7] += xs[7] * ys[7];
-    }
-    let mut tail = 0.0;
-    for (x, y) in a_tail.iter().zip(b_tail) {
-        tail += x * y;
-    }
-    ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7])) + tail
-}
-
-/// Batched matrix–vector product into a caller-provided buffer:
-/// `out[i] = dot(row_i, w)` over row-major `data` with `cols` columns.
-///
-/// Each output element is one frozen-tree [`dot`], so the result is
-/// bit-identical to mapping [`dot_ref`] over the rows. A zero-column
-/// matrix still writes one `0.0` per row.
-pub fn matvec_into(data: &[f64], cols: usize, w: &[f64], out: &mut [f64]) {
-    debug_assert_eq!(w.len(), cols);
-    if cols == 0 {
-        out.fill(0.0);
-        return;
-    }
-    debug_assert_eq!(data.len(), out.len() * cols);
-    for (o, row) in out.iter_mut().zip(data.chunks_exact(cols)) {
-        *o = dot(row, w);
-    }
-}
-
-/// Element-wise `y[i] += alpha * x[i]`, [`LANES`]-wide.
-///
-/// No reduction: per-element results are independent of vector width, so
-/// this is bit-identical to the plain loop at any unroll factor.
-pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
-    debug_assert_eq!(x.len(), y.len());
-    let split = x.len() - x.len() % LANES;
-    let (x8, x_tail) = x.split_at(split);
-    let (y8, y_tail) = y.split_at_mut(split);
-    for (ys, xs) in y8.chunks_exact_mut(LANES).zip(x8.chunks_exact(LANES)) {
-        for (yj, xj) in ys.iter_mut().zip(xs) {
-            *yj += alpha * xj;
-        }
-    }
-    for (yj, xj) in y_tail.iter_mut().zip(x_tail) {
-        *yj += alpha * xj;
-    }
-}
-
 /// 1-D gather into a caller-provided buffer: `out[k] = src[idx[k]]`.
 ///
 /// Pure data movement (bit-exact by construction); the vector form of the
@@ -193,15 +100,6 @@ pub fn gather(src: &[f64], idx: &[usize], out: &mut [f64]) {
     for (o, &i) in out.iter_mut().zip(idx) {
         *o = src[i];
     }
-}
-
-/// Allocating convenience wrapper around [`gather`].
-#[must_use]
-pub fn gather_vec(src: &[f64], idx: &[usize]) -> Vec<f64> {
-    // audit: allow(alloc-in-kernel, reason = "documented allocating wrapper; the hot loop is gather()")
-    let mut out = vec![0.0; idx.len()];
-    gather(src, idx, &mut out);
-    out
 }
 
 /// One SGD weight update for the logistic log-loss:
@@ -220,16 +118,7 @@ pub fn sgd_step(w: &mut [f64], row: &[f64], g: f64, eta: f64, l1: f64, l2: f64) 
             *wj -= eta * grad;
         }
     } else {
-        let split = w.len() - w.len() % LANES;
-        let (w8, w_tail) = w.split_at_mut(split);
-        let (r8, r_tail) = row.split_at(split);
-        for (ws, xs) in w8.chunks_exact_mut(LANES).zip(r8.chunks_exact(LANES)) {
-            for (wj, &xj) in ws.iter_mut().zip(xs) {
-                let grad = g * xj + l2 * *wj;
-                *wj -= eta * grad;
-            }
-        }
-        for (wj, &xj) in w_tail.iter_mut().zip(r_tail) {
+        for (wj, &xj) in w.iter_mut().zip(row) {
             let grad = g * xj + l2 * *wj;
             *wj -= eta * grad;
         }
@@ -285,56 +174,6 @@ mod tests {
                 seed_dot(&a, &b).to_bits(),
                 "widened kernel drifted from the seed tree at n={n}"
             );
-        }
-    }
-
-    #[test]
-    fn dot_lanes_agrees_within_tolerance_but_not_bits() {
-        let (a, b) = vectors(1000);
-        let frozen = dot(&a, &b);
-        let free = dot_lanes(&a, &b);
-        assert!((frozen - free).abs() < 1e-9 * (1.0 + frozen.abs()));
-    }
-
-    #[test]
-    fn dot_scalar_agrees_within_tolerance() {
-        let (a, b) = vectors(1000);
-        assert!((dot(&a, &b) - dot_scalar(&a, &b)).abs() < 1e-9);
-    }
-
-    #[test]
-    fn matvec_into_matches_per_row_ref() {
-        let cols = 13;
-        let rows = 9;
-        let (data, _) = vectors(rows * cols);
-        let (w, _) = vectors(cols);
-        let mut out = vec![0.0; rows];
-        matvec_into(&data, cols, &w, &mut out);
-        for (i, o) in out.iter().enumerate() {
-            let row = &data[i * cols..(i + 1) * cols];
-            assert_eq!(o.to_bits(), dot_ref(row, &w).to_bits(), "row {i}");
-        }
-    }
-
-    #[test]
-    fn matvec_into_zero_columns() {
-        let mut out = vec![9.0; 3];
-        matvec_into(&[], 0, &[], &mut out);
-        assert_eq!(out, vec![0.0; 3]);
-    }
-
-    #[test]
-    fn axpy_matches_plain_loop_bitwise() {
-        for n in [0, 1, 7, 8, 9, 17, 64] {
-            let (x, y0) = vectors(n);
-            let mut y = y0.clone();
-            axpy(0.37, &x, &mut y);
-            let expected: Vec<f64> = y0.iter().zip(&x).map(|(y, x)| y + 0.37 * x).collect();
-            let same = y
-                .iter()
-                .zip(&expected)
-                .all(|(a, b)| a.to_bits() == b.to_bits());
-            assert!(same, "axpy drifted at n={n}");
         }
     }
 

@@ -250,8 +250,9 @@ impl Matrix {
 
     /// Batched matrix–vector product: `out[i] = dot(row_i, w)`. This is
     /// the predict kernel for every linear model — one pass over the
-    /// row-major data through [`crate::kernels::matvec_into`], no per-row
-    /// allocation.
+    /// row-major data, no per-row allocation. Each output element is one
+    /// frozen-tree [`dot`], and a zero-column matrix yields one `0.0` per
+    /// row.
     pub fn matvec(&self, w: &[f64]) -> Result<Vec<f64>> {
         if w.len() != self.cols {
             return Err(Error::LengthMismatch {
@@ -260,7 +261,11 @@ impl Matrix {
             });
         }
         let mut out = vec![0.0; self.rows];
-        crate::kernels::matvec_into(&self.data, self.cols, w, &mut out);
+        if self.cols > 0 {
+            for (o, row) in out.iter_mut().zip(self.data.chunks_exact(self.cols)) {
+                *o = dot(row, w);
+            }
+        }
         Ok(out)
     }
 
@@ -396,6 +401,8 @@ mod tests {
         }
         // Dimension mismatch is an error, not a panic.
         assert!(m.matvec(&[1.0]).is_err());
+        // A zero-column matrix still yields one 0.0 per row.
+        assert_eq!(Matrix::zeros(3, 0).matvec(&[]).unwrap(), vec![0.0; 3]);
     }
 
     #[test]

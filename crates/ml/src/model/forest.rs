@@ -140,7 +140,8 @@ impl Classifier for RandomForest {
             // Single-pass bootstrap×subspace gather — no intermediate
             // full-width bootstrap copy.
             let x_sub = x.gather(&rows, &features);
-            let y_sub = crate::kernels::gather_vec(y, &rows);
+            let mut y_sub = vec![0.0; rows.len()];
+            crate::kernels::gather(y, &rows, &mut y_sub);
             // Bootstrap already accounts for the weights.
             let w_sub = vec![1.0; rows.len()];
             let model = tree_learner.fit_tree(&x_sub, &y_sub, &w_sub, tree_seed)?;

@@ -527,8 +527,8 @@ mod tests {
     }
 
     /// Mirror of `runner::tests::parallel_matches_sequential` at the CV
-    /// level: a 4-thread search must be bit-identical to the sequential
-    /// one on the paper's logistic grid.
+    /// level: a 2-, 4- and 8-thread search must each be bit-identical to
+    /// the sequential one on the paper's logistic grid.
     #[test]
     fn parallel_search_is_bit_identical_to_sequential() {
         // German-shaped synthetic problem: 80 rows, 5 features, a noisy
@@ -554,24 +554,30 @@ mod tests {
         let grid = logistic_regression_grid();
 
         let sequential = GridSearchCv::new(5).search(&grid, &x, &y, &w, 11).unwrap();
-        let parallel = GridSearchCv::new(5)
-            .with_threads(4)
-            .search(&grid, &x, &y, &w, 11)
-            .unwrap();
-
-        assert_eq!(sequential.best_candidate, parallel.best_candidate);
-        assert_eq!(sequential.best_description, parallel.best_description);
-        assert_eq!(sequential.scores.len(), parallel.scores.len());
-        for (a, b) in sequential.scores.iter().zip(&parallel.scores) {
-            assert_eq!(a.candidate, b.candidate);
-            assert_eq!(a.fold_scores, b.fold_scores, "candidate {}", a.candidate);
-            assert!(a.mean_score.to_bits() == b.mean_score.to_bits());
-            assert!(a.std_score.to_bits() == b.std_score.to_bits());
-        }
-        // And the refit winners predict identically.
         let pa = sequential.best_model.predict_proba(&x).unwrap();
-        let pb = parallel.best_model.predict_proba(&x).unwrap();
-        assert_eq!(pa, pb);
+        for threads in [2, 4, 8] {
+            let parallel = GridSearchCv::new(5)
+                .with_threads(threads)
+                .search(&grid, &x, &y, &w, 11)
+                .unwrap();
+
+            assert_eq!(sequential.best_candidate, parallel.best_candidate);
+            assert_eq!(sequential.best_description, parallel.best_description);
+            assert_eq!(sequential.scores.len(), parallel.scores.len());
+            for (a, b) in sequential.scores.iter().zip(&parallel.scores) {
+                assert_eq!(a.candidate, b.candidate);
+                assert_eq!(
+                    a.fold_scores, b.fold_scores,
+                    "candidate {} at {threads} threads",
+                    a.candidate
+                );
+                assert!(a.mean_score.to_bits() == b.mean_score.to_bits());
+                assert!(a.std_score.to_bits() == b.std_score.to_bits());
+            }
+            // And the refit winners predict identically.
+            let pb = parallel.best_model.predict_proba(&x).unwrap();
+            assert_eq!(pa, pb, "{threads} threads");
+        }
     }
 
     #[test]

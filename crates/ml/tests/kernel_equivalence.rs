@@ -5,7 +5,7 @@
 //! random inputs, with lengths biased to straddle the 8-lane boundary
 //! (0..=17 covers zero, sub-lane, one-lane, and lane+tail shapes).
 
-use fairprep_ml::kernels::{axpy, dot, dot_ref, gather, gather_vec, matvec_into};
+use fairprep_ml::kernels::{dot, dot_ref, gather};
 use fairprep_ml::matrix::Matrix;
 use proptest::prelude::*;
 
@@ -39,8 +39,8 @@ proptest! {
         prop_assert_eq!(dot(a, b).to_bits(), dot_ref(a, b).to_bits());
     }
 
-    /// `matvec_into` equals a per-row reference dot for every column-count
-    /// tail shape.
+    /// `Matrix::matvec` equals a per-row reference dot for every
+    /// column-count tail shape.
     #[test]
     fn matvec_is_bit_identical_to_per_row_dots(
         cols in 1_usize..=17,
@@ -50,31 +50,10 @@ proptest! {
     ) {
         let data = &data[..rows * cols];
         let w = &w[..cols];
-        let mut out = vec![0.0; rows];
-        matvec_into(data, cols, w, &mut out);
+        let out = Matrix::from_vec(rows, cols, data.to_vec()).unwrap().matvec(w).unwrap();
         for (r, got) in out.iter().enumerate() {
             let want = dot_ref(&data[r * cols..(r + 1) * cols], w);
             prop_assert_eq!(got.to_bits(), want.to_bits(), "row {}", r);
-        }
-    }
-
-    /// `axpy` equals the plain element loop bitwise — elementwise kernels
-    /// are order-free, so any width is safe, but the bits must still match.
-    #[test]
-    fn axpy_is_bit_identical_to_plain_loop(
-        n in 0_usize..=17,
-        alpha in -10.0_f64..10.0,
-        xs in prop::collection::vec(-1.0e4_f64..1.0e4, 17),
-        ys in prop::collection::vec(-1.0e4_f64..1.0e4, 17),
-    ) {
-        let mut got = ys[..n].to_vec();
-        axpy(alpha, &xs[..n], &mut got);
-        let mut want = ys[..n].to_vec();
-        for (w, x) in want.iter_mut().zip(&xs[..n]) {
-            *w += alpha * x;
-        }
-        for (g, w) in got.iter().zip(&want) {
-            prop_assert_eq!(g.to_bits(), w.to_bits());
         }
     }
 
@@ -87,7 +66,6 @@ proptest! {
     ) {
         let idx: Vec<usize> = picks.iter().map(|p| p % src.len()).collect();
         let naive: Vec<f64> = idx.iter().map(|&i| src[i]).collect();
-        prop_assert_eq!(&gather_vec(&src, &idx), &naive);
         let mut out = vec![0.0; idx.len()];
         gather(&src, &idx, &mut out);
         prop_assert_eq!(&out, &naive);

@@ -190,9 +190,10 @@ impl Value {
     }
 }
 
-/// Writes a JSON string literal with the same escape set the parser
-/// understands (quotes, backslash, control characters).
-fn write_escaped(s: &str, out: &mut String) {
+/// Appends `s` to `out` as a JSON string literal, quotes included, with
+/// the escape set the parser understands (quotes, backslash, control
+/// characters). Every JSON writer in the workspace escapes through this.
+pub fn write_escaped(s: &str, out: &mut String) {
     out.push('"');
     for c in s.chars() {
         match c {

@@ -12,6 +12,7 @@
 //!   budget. These vary run to run and are segregated under a `timing`
 //!   key so tools can diff the canonical projection byte-for-byte.
 
+use crate::json::write_escaped;
 use crate::profile::DataProfile;
 use crate::{SpanEvent, Tracer, COUNTERS, GAUGES};
 
@@ -441,7 +442,7 @@ impl JsonWriter {
 
     pub(crate) fn key(&mut self, key: &str) {
         self.sep();
-        self.out.push_str(&escape(key));
+        write_escaped(key, &mut self.out);
         self.out.push_str(": ");
     }
 
@@ -451,7 +452,7 @@ impl JsonWriter {
 
     pub(crate) fn field_str(&mut self, key: &str, value: &str) {
         self.key(key);
-        self.out.push_str(&escape(value));
+        write_escaped(value, &mut self.out);
     }
 
     pub(crate) fn field_u64(&mut self, key: &str, value: u64) {
@@ -500,7 +501,7 @@ impl JsonWriter {
         self.open_arr();
         for v in values {
             self.item();
-            self.out.push_str(&escape(v));
+            write_escaped(v, &mut self.out);
         }
         self.close_arr();
     }
@@ -523,24 +524,6 @@ fn render_f64(value: f64) -> String {
     } else {
         "null".to_string()
     }
-}
-
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]
