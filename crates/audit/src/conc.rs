@@ -399,7 +399,7 @@ mod tests {
         let dirty = "fn serve(n: usize) {\n\
                      let mut served = 0usize;\n\
                      scoped_workers(n, |w| { served += w; });\n}";
-        let diags = check_src("crates/cli/src/serve.rs", dirty);
+        let diags = check_src("crates/cli/src/serve/mod.rs", dirty);
         assert_eq!(
             diags
                 .iter()
@@ -412,7 +412,7 @@ mod tests {
         let clean = "fn serve(n: usize, stop: &AtomicBool) {\n\
                      scoped_workers(n, |w| { let mut local = w; local += 1; \
                      while !stop.load(Ordering::Relaxed) { step(local); } });\n}";
-        assert!(check_src("crates/cli/src/serve.rs", clean).is_empty());
+        assert!(check_src("crates/cli/src/serve/mod.rs", clean).is_empty());
     }
 
     #[test]

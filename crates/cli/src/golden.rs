@@ -7,6 +7,10 @@
 //! pipelines through this module, so a fixture mismatch always means
 //! the serving path changed — never that the two sides disagreed about
 //! the configuration.
+//!
+//! It also defines the two `/metrics` replays whose scrapes are
+//! committed next to the request fixtures: the plain german replay, and
+//! an *armed* one with a canary and one alert of every metric kind.
 
 use fairprep_core::seal::SealedPipeline;
 use fairprep_data::dataset::BinaryLabelDataset;
@@ -14,6 +18,7 @@ use fairprep_data::schema::Role;
 use fairprep_trace::json::{obj, Value};
 
 use crate::build;
+use crate::serve::{http_request, http_request_accept, Registry, ServerHandle, WINDOW_LABELS};
 
 /// Datasets covered by the golden suite (every generator the repo
 /// ships).
@@ -51,8 +56,21 @@ pub fn golden_dataset(dataset: &str) -> Result<BinaryLabelDataset, String> {
 
 /// Fits and seals the fixed golden pipeline for `dataset`.
 pub fn golden_pipeline(dataset: &str) -> Result<SealedPipeline, String> {
+    seal(dataset, golden_config(dataset))
+}
+
+/// Fits and seals the german canary: the golden german sample and seed
+/// through plain logistic regression, so it disagrees with the golden
+/// `dt` + reject-option chain on some rows.
+pub fn golden_canary_pipeline() -> Result<SealedPipeline, String> {
+    seal("german", ("lr", "complete-case", "none", "none"))
+}
+
+fn seal(
+    dataset: &str,
+    (learner, missing, preprocessor, postprocessor): (&str, &str, &str, &str),
+) -> Result<SealedPipeline, String> {
     let data = golden_dataset(dataset)?;
-    let (learner, missing, preprocessor, postprocessor) = golden_config(dataset);
     let builder = fairprep_core::experiment::Experiment::builder(dataset, data)
         .seed(GOLDEN_RUN_SEED)
         .threads(1);
@@ -70,7 +88,7 @@ pub fn golden_pipeline(dataset: &str) -> Result<SealedPipeline, String> {
 
 /// Renders dataset row `i` as a predict-request row object: every
 /// non-label column, missing cells as `null`.
-fn row_value(data: &BinaryLabelDataset, i: usize) -> Value {
+pub fn row_value(data: &BinaryLabelDataset, i: usize) -> Value {
     let members = data
         .schema()
         .fields()
@@ -115,4 +133,125 @@ pub fn golden_bodies(dataset: &str) -> Result<Vec<String>, String> {
 #[must_use]
 pub fn fixture_path(dataset: &str) -> String {
     format!("tests/golden_serve/{dataset}.json")
+}
+
+/// The latency every scrape replay pins, in microseconds: the only
+/// nondeterministic input to `/metrics`.
+const SCRAPE_LATENCY_US: u64 = 1_000;
+
+/// Committed scrapes of [`plain_replay`]: `[JSON, Prometheus]`.
+pub const PLAIN_SCRAPE_FIXTURES: [&str; 2] = [
+    "tests/golden_serve/german.metrics.json",
+    "tests/golden_serve/german.metrics.prom",
+];
+
+/// Committed scrapes of [`armed_replay`]: `[JSON, Prometheus]`.
+pub const ARMED_SCRAPE_FIXTURES: [&str; 2] = [
+    "tests/golden_serve/german.armed.metrics.json",
+    "tests/golden_serve/german.armed.metrics.prom",
+];
+
+/// Single-row requests the armed replay sends to the golden pipeline:
+/// more than 1,000, so every 1k window has evicted.
+const ARMED_REQUESTS: usize = 1_050;
+
+/// One alert of each metric kind, over both windows, with thresholds
+/// that make some fire during the armed replay.
+const ARMED_ALERTS: &str = r#"[
+    {"name": "di", "metric": "disparate_impact", "window": "1k", "trip": 2.0, "clear": 3.0, "for": 10},
+    {"name": "gap", "metric": "favorable_rate_gap", "window": "10k", "trip": 0.5, "clear": 0.4},
+    {"name": "age-drift", "metric": "psi", "column": "age", "window": "1k",
+     "trip": 0.05, "clear": 0.01, "for": 50},
+    {"name": "p99", "metric": "p99_latency_us", "window": "1k", "trip": 500, "clear": 100,
+     "for": 5, "min_hold": 200},
+    {"name": "errors", "metric": "error_rate", "window": "1k", "trip": 0.0005, "clear": 0.0},
+    {"name": "canary", "metric": "canary_divergence", "window": "10k", "trip": 0.01,
+     "clear": 0.005, "for": 20}
+]"#;
+
+/// The two `/metrics` scrapes that end a replay.
+pub struct Scrapes {
+    /// The default JSON document (also what `Accept: application/json`
+    /// gets).
+    pub json: String,
+    /// The Prometheus text exposition (`Accept: text/plain`).
+    pub prometheus: String,
+}
+
+/// The plain replay: the german golden requests against the german
+/// golden pipeline.
+pub fn plain_replay() -> Result<Scrapes, String> {
+    let sealed = golden_pipeline("german")?;
+    let path = predict_path(&sealed);
+    let requests: Vec<(String, String, u16)> = golden_bodies("german")?
+        .into_iter()
+        .map(|body| (path.clone(), body, 200))
+        .collect();
+    let mut registry = Registry::new();
+    registry.insert(sealed);
+    replay(registry, &requests)
+}
+
+/// The armed replay: the german golden pipeline with
+/// [`golden_canary_pipeline`] shadow-scoring half its requests and
+/// every `ARMED_ALERTS` spec armed; 1,050 single-row requests with one
+/// body refused at parse time halfway through, then ten rows sent to
+/// the canary's own endpoint.
+pub fn armed_replay() -> Result<Scrapes, String> {
+    let sealed = golden_pipeline("german")?;
+    let canary = golden_canary_pipeline()?;
+    let data = golden_dataset("german")?;
+    let row_body = |i: usize| obj(vec![("row", row_value(&data, i % data.n_rows()))]).to_json();
+    let (primary, shadow) = (predict_path(&sealed), predict_path(&canary));
+    let mut requests = Vec::new();
+    for i in 0..ARMED_REQUESTS {
+        if i == ARMED_REQUESTS / 2 {
+            requests.push((primary.clone(), "not json".to_string(), 400));
+        }
+        requests.push((primary.clone(), row_body(i), 200));
+    }
+    requests.extend((0..10).map(|i| (shadow.clone(), row_body(i), 200)));
+    let canary_fingerprint = canary.fingerprint.clone();
+    let mut registry = Registry::new();
+    registry.insert(sealed);
+    registry.insert(canary);
+    registry.arm_alerts(&fairprep_trace::alert::parse_specs(
+        ARMED_ALERTS,
+        &WINDOW_LABELS,
+    )?)?;
+    registry.arm_canary(&canary_fingerprint, 0.5)?;
+    replay(registry, &requests)
+}
+
+fn predict_path(sealed: &SealedPipeline) -> String {
+    format!("/predict/{}", sealed.fingerprint.replace(':', "-"))
+}
+
+/// Serves `registry` on one worker at the pinned latency, sends every
+/// `(path, body, expected status)` request in order, and scrapes
+/// `/metrics` with no `Accept` header, with `application/json` (which
+/// must give the same bytes), and as Prometheus text.
+fn replay(registry: Registry, requests: &[(String, String, u16)]) -> Result<Scrapes, String> {
+    let server = ServerHandle::spawn(registry, 0, 1)?;
+    server.registry().set_fixed_latency_us(SCRAPE_LATENCY_US);
+    for (path, body, expected) in requests {
+        let (status, response) = http_request(server.addr(), "POST", path, Some(body))?;
+        if status != *expected {
+            return Err(format!(
+                "{path}: expected {expected}, got {status}: {response}"
+            ));
+        }
+    }
+    let scrape = |accept| match http_request_accept(server.addr(), "GET", "/metrics", None, accept)?
+    {
+        (200, body) => Ok(body),
+        (status, body) => Err(format!("/metrics answered {status}: {body}")),
+    };
+    let json = scrape(None)?;
+    if scrape(Some("application/json"))? != json {
+        return Err("`Accept: application/json` changed the JSON scrape".to_string());
+    }
+    let prometheus = scrape(Some("text/plain; version=0.0.4"))?;
+    server.stop();
+    Ok(Scrapes { json, prometheus })
 }

@@ -10,7 +10,7 @@
 use std::io::{Read as _, Write as _};
 use std::sync::OnceLock;
 
-use fairprep_cli::golden::{golden_dataset, golden_pipeline};
+use fairprep_cli::golden::{golden_canary_pipeline, golden_dataset, golden_pipeline, row_value};
 use fairprep_cli::serve::{http_request, http_request_accept, Registry, ServerHandle};
 use fairprep_trace::alert::parse_specs;
 use fairprep_trace::json::{obj, parse, Value};
@@ -50,28 +50,6 @@ fn row_body(data: &fairprep_data::dataset::BinaryLabelDataset, i: usize) -> Stri
 fn rows_body(data: &fairprep_data::dataset::BinaryLabelDataset, indices: &[usize]) -> String {
     let rows = indices.iter().map(|&i| row_value(data, i)).collect();
     obj(vec![("rows", Value::Arr(rows))]).to_json()
-}
-
-fn row_value(data: &fairprep_data::dataset::BinaryLabelDataset, i: usize) -> Value {
-    use fairprep_data::schema::Role;
-    let members = data
-        .schema()
-        .fields()
-        .iter()
-        .filter(|f| f.role != Role::Label)
-        .map(|f| {
-            let cell = data
-                .frame()
-                .column(&f.name)
-                .map_or(Value::Null, |col| match col.get(i) {
-                    fairprep_data::column::Value::Numeric(x) if !x.is_nan() => Value::Num(x),
-                    fairprep_data::column::Value::Categorical(s) => Value::Str(s.to_string()),
-                    _ => Value::Null,
-                });
-            (f.name.as_str(), cell)
-        })
-        .collect();
-    obj(members)
 }
 
 /// The first (only) pipeline object in a `/metrics` JSON document.
@@ -433,13 +411,7 @@ fn canary_divergence_counts_match_an_independent_replay() {
     // golden dt + reject-option chain) so the two genuinely disagree
     // on some rows.
     let data = golden_dataset("german").unwrap();
-    let builder = fairprep_core::experiment::Experiment::builder("german", data.clone())
-        .seed(46_947)
-        .threads(1);
-    let experiment =
-        fairprep_cli::build::configure(builder, "lr", "complete-case", "none", "none", "standard")
-            .unwrap();
-    let (_, canary_sealed) = experiment.run_sealed().unwrap();
+    let canary_sealed = golden_canary_pipeline().unwrap();
 
     let dir = scratch_dir("canary");
     let mut registry = registry_with(&dir, &[german(), &canary_sealed]);

@@ -5,9 +5,9 @@
 
 use std::sync::OnceLock;
 
-use fairprep_cli::golden::{golden_bodies, golden_pipeline};
+use fairprep_cli::golden::{golden_bodies, golden_pipeline, row_value};
 use fairprep_cli::serve::{http_request, Registry, ServerHandle};
-use fairprep_trace::json::{parse, Value};
+use fairprep_trace::json::{obj, parse, Value};
 
 /// One fitted german pipeline shared by every test in this file (the
 /// lifecycle run dominates test time; the server itself is cheap).
@@ -357,61 +357,53 @@ fn rolling_windows_catch_shift_that_lifetime_metrics_dilute() {
     server.stop();
 }
 
+/// A refused request leaves drift alone: its rows were never scored,
+/// so binning them would let malformed traffic move PSI and fire drift
+/// alerts. Renaming the protected `sex` key refuses every request at
+/// scoring time, after the frame is built.
+#[test]
+fn refused_requests_do_not_move_drift() {
+    let (_, bodies) = german();
+    let body = bodies[0].replace("\"sex\":", "\"gender\":");
+    assert_ne!(body, bodies[0]);
+    let (server, fingerprint) = spawn_german(1);
+    let path = format!("/predict/{fingerprint}");
+    for _ in 0..50 {
+        let (status, response) = http_request(server.addr(), "POST", &path, Some(&body)).unwrap();
+        assert_eq!(status, 400, "{response}");
+    }
+    let (_, metrics) = http_request(server.addr(), "GET", "/metrics", None).unwrap();
+    server.stop();
+    let doc = parse(&metrics).unwrap();
+    let pipe = match doc.get("pipelines") {
+        Some(Value::Obj(members)) => &members[0].1,
+        other => panic!("no pipelines object: {other:?}"),
+    };
+    assert_eq!(pipe.get("rows_scored").and_then(Value::as_u64_any), Some(0));
+    assert_eq!(pipe.get("errors").and_then(Value::as_u64_any), Some(50));
+    for scope in [
+        pipe,
+        pipe.get("window_1k").unwrap(),
+        pipe.get("window_10k").unwrap(),
+    ] {
+        for column in scope.get("drift").and_then(Value::as_array).unwrap() {
+            assert_eq!(
+                column.get("observed").and_then(Value::as_u64_any),
+                Some(0),
+                "{metrics}"
+            );
+            assert_eq!(column.get("warn"), Some(&Value::Bool(false)), "{metrics}");
+        }
+    }
+}
+
 /// Renders dataset rows `indices` as one batched predict body.
 fn rows_body(data: &fairprep_data::dataset::BinaryLabelDataset, indices: &[usize]) -> String {
-    use fairprep_data::schema::Role;
-    use fairprep_trace::json::obj;
-    let rows: Vec<Value> = indices
-        .iter()
-        .map(|&i| {
-            let members = data
-                .schema()
-                .fields()
-                .iter()
-                .filter(|f| f.role != Role::Label)
-                .map(|f| {
-                    let cell =
-                        data.frame()
-                            .column(&f.name)
-                            .map_or(Value::Null, |col| match col.get(i) {
-                                fairprep_data::column::Value::Numeric(x) if !x.is_nan() => {
-                                    Value::Num(x)
-                                }
-                                fairprep_data::column::Value::Categorical(s) => {
-                                    Value::Str(s.to_string())
-                                }
-                                _ => Value::Null,
-                            });
-                    (f.name.as_str(), cell)
-                })
-                .collect();
-            obj(members)
-        })
-        .collect();
+    let rows = indices.iter().map(|&i| row_value(data, i)).collect();
     obj(vec![("rows", Value::Arr(rows))]).to_json()
 }
 
-/// Renders dataset row `i` as a single-row predict body (mirrors the
-/// golden module's private row renderer through the public schema).
+/// Renders dataset row `i` as a single-row predict body.
 fn row_body(data: &fairprep_data::dataset::BinaryLabelDataset, i: usize) -> String {
-    use fairprep_data::schema::Role;
-    use fairprep_trace::json::obj;
-    let members = data
-        .schema()
-        .fields()
-        .iter()
-        .filter(|f| f.role != Role::Label)
-        .map(|f| {
-            let cell = data
-                .frame()
-                .column(&f.name)
-                .map_or(Value::Null, |col| match col.get(i) {
-                    fairprep_data::column::Value::Numeric(x) if !x.is_nan() => Value::Num(x),
-                    fairprep_data::column::Value::Categorical(s) => Value::Str(s.to_string()),
-                    _ => Value::Null,
-                });
-            (f.name.as_str(), cell)
-        })
-        .collect();
-    obj(vec![("row", obj(members))]).to_json()
+    obj(vec![("row", row_value(data, i))]).to_json()
 }

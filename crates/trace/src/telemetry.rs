@@ -215,21 +215,28 @@ impl HistogramSnapshot {
 /// the sequence and stores the value with a relaxed `store` — lock- and
 /// allocation-free, never blocking, never growing. Under concurrent
 /// recording a snapshot may interleave writers' values, but every slot
-/// always holds *some* recorded value; windows are monitoring data, and
-/// the golden-fixture tests drive the server sequentially where the
-/// window contents are exact.
+/// holds either a recorded value or the never-written sentinel, which
+/// snapshots and evictions skip; the golden-fixture tests drive the
+/// server sequentially, where the window contents are exact.
 #[derive(Debug)]
 pub struct RingWindow {
     slots: Box<[AtomicU64]>,
     seq: AtomicU64,
 }
 
+/// The content of a slot nothing has been recorded into. Recorded values
+/// are clamped one below it, so a latency that saturated to `u64::MAX`
+/// still counts as recorded.
+const EMPTY_SLOT: u64 = u64::MAX;
+
 impl RingWindow {
     /// A ring holding the last `capacity` values (clamped to at least 1).
     #[must_use]
     pub fn new(capacity: usize) -> RingWindow {
         RingWindow {
-            slots: (0..capacity.max(1)).map(|_| AtomicU64::new(0)).collect(),
+            slots: (0..capacity.max(1))
+                .map(|_| AtomicU64::new(EMPTY_SLOT))
+                .collect(),
             seq: AtomicU64::new(0),
         }
     }
@@ -240,29 +247,34 @@ impl RingWindow {
         self.slots.len()
     }
 
-    /// Records one value, overwriting the oldest once full. Lock- and
-    /// allocation-free.
+    /// Records one value, overwriting the oldest once full. `u64::MAX`
+    /// is stored as `u64::MAX - 1`. Lock- and allocation-free.
     // audit: hot-path
     pub fn record(&self, value: u64) {
         let seq = self.seq.fetch_add(1, Ordering::Relaxed);
         let len = self.slots.len() as u64;
         if let Some(slot) = self.slots.get((seq % len) as usize) {
-            slot.store(value, Ordering::Relaxed);
+            slot.store(value.min(EMPTY_SLOT - 1), Ordering::Relaxed);
         }
     }
 
     /// Records one value like [`RingWindow::record`], additionally
-    /// returning the displaced value once the ring is full. This is
+    /// returning the value it displaced, if the slot held one. This is
     /// what lets callers maintain incremental aggregates (bucket
     /// counts, tallies) over exactly the window contents without ever
     /// walking the slots. Lock- and allocation-free.
+    ///
+    /// Eviction is decided by the slot's content, not by the sequence
+    /// number: while the ring fills, a writer one lap ahead can reach a
+    /// slot before that slot's first-lap writer does, and only the
+    /// content tells which of the two displaced a recorded value.
     // audit: hot-path
     pub fn record_evicting(&self, value: u64) -> Option<u64> {
         let seq = self.seq.fetch_add(1, Ordering::Relaxed);
         let len = self.slots.len() as u64;
         let slot = self.slots.get((seq % len) as usize)?;
-        let evicted = slot.swap(value, Ordering::Relaxed);
-        (seq >= len).then_some(evicted)
+        let evicted = slot.swap(value.min(EMPTY_SLOT - 1), Ordering::Relaxed);
+        (evicted != EMPTY_SLOT).then_some(evicted)
     }
 
     /// Lifetime number of recorded values (not capped by capacity).
@@ -274,11 +286,10 @@ impl RingWindow {
     /// The values currently in the window (up to `capacity`, unordered).
     #[must_use]
     pub fn snapshot(&self) -> Vec<u64> {
-        let filled = usize::try_from(self.recorded().min(self.slots.len() as u64)).unwrap_or(0);
         self.slots
             .iter()
-            .take(filled)
             .map(|s| s.load(Ordering::Relaxed))
+            .filter(|&v| v != EMPTY_SLOT)
             .collect()
     }
 }
@@ -475,6 +486,14 @@ mod tests {
         r.record(42);
         r.record(7);
         assert_eq!(r.snapshot(), vec![42, 7]);
+    }
+
+    #[test]
+    fn saturated_values_stay_recorded() {
+        let r = RingWindow::new(1);
+        assert_eq!(r.record_evicting(u64::MAX), None);
+        assert_eq!(r.snapshot(), vec![u64::MAX - 1]);
+        assert_eq!(r.record_evicting(3), Some(u64::MAX - 1));
     }
 
     #[test]

@@ -9,12 +9,16 @@
 //! `fairprep_cli::golden`), serves it on an ephemeral port, replays the
 //! golden requests over real HTTP, and writes one fixture file per
 //! dataset into `--out` (default `tests/golden_serve/`) holding the
-//! requests together with their **byte-exact** response bodies. CI
-//! replays the committed fixtures against an in-process server — any
-//! byte of drift in the serving path fails the build.
+//! requests together with their **byte-exact** response bodies, plus
+//! the JSON and Prometheus `/metrics` scrapes of the plain and the armed
+//! german replay. Tier-1 tests replay the committed fixtures against an
+//! in-process server: any byte of drift in the serving path fails them.
 
-use fairprep_cli::golden::{golden_bodies, golden_pipeline, GOLDEN_DATASETS};
-use fairprep_cli::serve::{http_request, http_request_accept, Registry, ServerHandle};
+use fairprep_cli::golden::{
+    armed_replay, golden_bodies, golden_pipeline, plain_replay, ARMED_SCRAPE_FIXTURES,
+    GOLDEN_DATASETS, PLAIN_SCRAPE_FIXTURES,
+};
+use fairprep_cli::serve::{http_request, Registry, ServerHandle};
 use fairprep_trace::json::{obj, Value};
 
 fn main() {
@@ -74,34 +78,22 @@ fn main() {
         println!("{} ({} bytes)", path.display(), fixture.len());
     }
 
-    // Golden Prometheus exposition: replay the german golden requests
-    // sequentially on one worker with a pinned fake latency, then scrape
-    // `/metrics` as Prometheus text. Everything else in the exposition —
-    // counters, rings, decision rates, PSI — is deterministic, so the
+    // Golden `/metrics` scrapes: the plain and the armed german replay
+    // (see `fairprep_cli::golden`), each at a pinned fake latency, so the
     // committed bytes replay exactly on any machine.
-    let sealed = golden_pipeline("german").expect("golden pipeline");
-    let predict_path = format!("/predict/{}", sealed.fingerprint.replace(':', "-"));
-    let bodies = golden_bodies("german").expect("golden requests");
-    let mut registry = Registry::new();
-    registry.insert(sealed);
-    let server = ServerHandle::spawn(registry, 0, 1).expect("spawn server");
-    server.registry().set_fixed_latency_us(1000);
-    for body in &bodies {
-        let (status, _) =
-            http_request(server.addr(), "POST", &predict_path, Some(body)).expect("request");
-        assert_eq!(status, 200);
+    for (scrapes, paths) in [
+        (plain_replay(), PLAIN_SCRAPE_FIXTURES),
+        (armed_replay(), ARMED_SCRAPE_FIXTURES),
+    ] {
+        let scrapes = scrapes.expect("scrape replay");
+        for (path, text) in paths.iter().zip([scrapes.json, scrapes.prometheus]) {
+            let path = out_dir.join(
+                std::path::Path::new(path)
+                    .file_name()
+                    .expect("fixture file name"),
+            );
+            std::fs::write(&path, &text).expect("cannot write scrape fixture");
+            println!("{} ({} bytes)", path.display(), text.len());
+        }
     }
-    let (status, exposition) = http_request_accept(
-        server.addr(),
-        "GET",
-        "/metrics",
-        None,
-        Some("text/plain; version=0.0.4"),
-    )
-    .expect("scrape");
-    assert_eq!(status, 200);
-    server.stop();
-    let path = out_dir.join("german.metrics.prom");
-    std::fs::write(&path, &exposition).expect("cannot write exposition fixture");
-    println!("{} ({} bytes)", path.display(), exposition.len());
 }

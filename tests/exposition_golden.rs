@@ -1,77 +1,59 @@
-//! Golden Prometheus exposition of the scoring service.
+//! Golden `/metrics` scrapes of the scoring service.
 //!
-//! Replays the german golden requests sequentially on one worker with a
-//! pinned fake latency — the only nondeterministic input — and demands
-//! the `/metrics` Prometheus scrape match the committed fixture
-//! byte-for-byte. Any drift in metric names, label sets, number
-//! formatting, PSI arithmetic, or rolling-window bookkeeping fails the
-//! build. Regenerate with `cargo run --release --example golden_serve`
-//! when a change is intentional.
+//! Two replays run sequentially on one worker with a pinned fake
+//! latency, the only nondeterministic input (see
+//! `fairprep_cli::golden`): the plain german replay, and an armed one
+//! with a canary, one alert of every metric kind, a refused request and
+//! enough traffic to evict the 1k windows. Both scrapes of each, the
+//! JSON document and the Prometheus text exposition, must match the
+//! committed fixtures byte for byte. Any drift in metric names, label
+//! sets, number formatting, PSI arithmetic, rolling-window bookkeeping,
+//! alert or canary sections fails the build. Regenerate with
+//! `cargo run --release --example golden_serve` when a change is
+//! intentional.
 //!
-//! The same run also pins the content-negotiation contract: `/metrics`
-//! answers JSON by default and Prometheus text only when asked.
+//! The replays also pin content negotiation: `/metrics` answers JSON by
+//! default and for `Accept: application/json`, Prometheus text only
+//! when asked.
 
-use fairprep_cli::golden::{golden_bodies, golden_pipeline};
-use fairprep_cli::serve::{http_request, http_request_accept, Registry, ServerHandle};
+use fairprep_cli::golden::{
+    armed_replay, plain_replay, Scrapes, ARMED_SCRAPE_FIXTURES, PLAIN_SCRAPE_FIXTURES,
+};
 use fairprep_trace::json::parse;
 
-#[test]
-fn golden_prometheus_exposition_replays_byte_identically() {
-    let expected = std::fs::read_to_string("tests/golden_serve/german.metrics.prom")
-        .expect("missing exposition fixture");
-
-    let sealed = golden_pipeline("german").unwrap();
-    let predict_path = format!("/predict/{}", sealed.fingerprint.replace(':', "-"));
-    let bodies = golden_bodies("german").unwrap();
-    let mut registry = Registry::new();
-    registry.insert(sealed);
-    let server = ServerHandle::spawn(registry, 0, 1).unwrap();
-    server.registry().set_fixed_latency_us(1000);
-    for body in &bodies {
-        let (status, response) =
-            http_request(server.addr(), "POST", &predict_path, Some(body)).unwrap();
-        assert_eq!(status, 200, "{response}");
+fn assert_matches_fixtures(scrapes: &Scrapes, [json_path, prom_path]: [&str; 2]) {
+    for (path, scraped) in [(json_path, &scrapes.json), (prom_path, &scrapes.prometheus)] {
+        let expected = std::fs::read_to_string(path)
+            .unwrap_or_else(|e| panic!("missing scrape fixture {path}: {e}"));
+        assert_eq!(
+            scraped, &expected,
+            "{path}: scrape drifted from the fixture"
+        );
     }
-
-    // Default (no Accept header): the JSON document, as always.
-    let (status, json_body) = http_request(server.addr(), "GET", "/metrics", None).unwrap();
-    assert_eq!(status, 200);
-    let doc = parse(&json_body).expect("default /metrics must stay JSON");
-    assert!(doc.get("pipelines").is_some());
-
-    // An explicit JSON Accept also gets JSON.
-    let (_, negotiated_json) = http_request_accept(
-        server.addr(),
-        "GET",
-        "/metrics",
-        None,
-        Some("application/json"),
-    )
-    .unwrap();
-    assert_eq!(negotiated_json, json_body);
-
-    // Prometheus text exposition on request — byte-identical to the
-    // committed fixture.
-    let (status, exposition) = http_request_accept(
-        server.addr(),
-        "GET",
-        "/metrics",
-        None,
-        Some("text/plain; version=0.0.4"),
-    )
-    .unwrap();
-    assert_eq!(status, 200);
-    assert_eq!(
-        exposition, expected,
-        "Prometheus exposition drifted from the committed fixture"
-    );
+    assert!(parse(&scrapes.json).unwrap().get("pipelines").is_some());
     // Minimal syntax sanity on top of the byte comparison.
-    assert!(exposition.starts_with("# HELP fairprep_pipelines "));
-    for line in exposition.lines() {
+    assert!(scrapes.prometheus.starts_with("# HELP fairprep_pipelines "));
+    for line in scrapes.prometheus.lines() {
         assert!(
             line.starts_with("# HELP ") || line.starts_with("# TYPE ") || line.contains(' '),
             "malformed exposition line: {line}"
         );
     }
-    server.stop();
+}
+
+#[test]
+fn golden_prometheus_exposition_replays_byte_identically() {
+    assert_matches_fixtures(&plain_replay().unwrap(), PLAIN_SCRAPE_FIXTURES);
+}
+
+#[test]
+fn armed_scrapes_replay_byte_identically() {
+    let scrapes = armed_replay().unwrap();
+    assert_matches_fixtures(&scrapes, ARMED_SCRAPE_FIXTURES);
+    for section in ["\"alerts\":", "\"canary\":"] {
+        assert!(
+            scrapes.json.contains(section),
+            "armed scrape lacks {section}"
+        );
+    }
 }
