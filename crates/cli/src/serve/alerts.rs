@@ -12,10 +12,9 @@ use fairprep_trace::alert::{phase_name, AlertMetric, AlertSpec, AlertState, Tran
 use fairprep_trace::json::{obj, Value};
 
 use super::access_log::AccessLog;
+use super::decode::decode_frame;
 use super::telemetry::{disparate_impact_of, flagged_rate, rate_of, PipeTelemetry};
-use super::{
-    frame_from_rows, normalize_fingerprint, Entry, Registry, JSON_CONTENT_TYPE, WINDOW_LABELS,
-};
+use super::{normalize_fingerprint, Entry, Registry, JSON_CONTENT_TYPE, WINDOW_LABELS};
 
 /// Webhook delivery attempts per alert transition before giving up.
 const WEBHOOK_ATTEMPTS: u32 = 3;
@@ -211,15 +210,16 @@ pub(super) struct CanaryConfig {
     pub(super) counter: AtomicU64,
 }
 
-/// Shadow-scores a sampled request through the canary pipeline and
-/// records per-row decision divergence into `entry`'s rolling windows.
+/// Shadow-scores a sampled request through the canary pipeline, decoding
+/// its `body` against the canary's own schema, and records per-row
+/// decision divergence into `entry`'s rolling windows.
 /// A canary that cannot score the traffic at all (schema mismatch,
 /// scoring error) counts every row as divergent — it demonstrably does
 /// not reproduce the serving pipeline's behavior.
 pub(super) fn maybe_shadow_score(
     registry: &Registry,
     entry: &Entry,
-    rows: &[&Value],
+    body: &str,
     scored: &[ScoredRow],
 ) {
     let Some(canary) = &registry.canary else {
@@ -239,7 +239,7 @@ pub(super) fn maybe_shadow_score(
     let Some(shadow) = registry.entries.get(&canary.key) else {
         return;
     };
-    let shadow_scored = frame_from_rows(&shadow.sealed, rows)
+    let shadow_scored = decode_frame(shadow.sealed.schema(), body)
         .and_then(|frame| shadow.sealed.score_frame(frame).map_err(|e| e.to_string()));
     match shadow_scored {
         Ok(shadow_scored) => {

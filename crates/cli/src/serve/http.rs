@@ -1,16 +1,41 @@
-//! HTTP plumbing: reading one request off a connection, routing it,
-//! writing the response, and the blocking client the tests and
-//! benchmarks use.
+//! HTTP plumbing: reading one request off a connection within fixed
+//! size limits and deadlines, routing it, writing the response, and the
+//! blocking client the tests and benchmarks use.
 
-use std::io::{BufRead, BufReader, Read, Write};
+use std::fmt::Write as _;
+use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
 use fairprep_trace::exposition::TEXT_CONTENT_TYPE;
-use fairprep_trace::json::{obj, Value};
+use fairprep_trace::json::{self, obj, Value};
 
 use super::access_log::{AccessLog, AccessSpan};
 use super::{predict, Registry, JSON_CONTENT_TYPE, MAX_BODY_BYTES};
+
+/// Longest accepted request line, its `\n` included. A longer one is
+/// refused with `414` as soon as this many bytes arrive without a
+/// line end.
+pub const MAX_REQUEST_LINE_BYTES: usize = 8 * 1024;
+
+/// Largest accepted header block after the request line, its closing
+/// blank line included. A larger one is refused with `431`.
+pub const MAX_HEADER_BYTES: usize = 64 * 1024;
+
+/// Time from accept to the end of the header block. A client that has
+/// not sent its request line and headers by then is answered `408`.
+pub const HEAD_DEADLINE: Duration = Duration::from_secs(2);
+
+/// Time from accept to the last byte of the body. A client that has not
+/// sent its whole request by then is answered `408`.
+pub const REQUEST_DEADLINE: Duration = Duration::from_secs(10);
+
+/// Bound on each write of a response, so a client that never reads its
+/// response cannot pin a worker.
+pub const WRITE_TIMEOUT: Duration = Duration::from_secs(10);
+
+/// Bytes asked for per read while the header block is incomplete.
+const HEAD_CHUNK: usize = 16 * 1024;
 
 /// One parsed HTTP request: method, path, `Accept` header, body.
 struct Request {
@@ -20,6 +45,9 @@ struct Request {
     body: String,
 }
 
+/// Why a request was refused: its status and message.
+type Refusal = (u16, String);
+
 /// HTTP status codes the server emits.
 fn status_text(code: u16) -> &'static str {
     match code {
@@ -27,19 +55,115 @@ fn status_text(code: u16) -> &'static str {
         400 => "Bad Request",
         404 => "Not Found",
         405 => "Method Not Allowed",
+        408 => "Request Timeout",
         413 => "Payload Too Large",
+        414 => "URI Too Long",
+        431 => "Request Header Fields Too Large",
         _ => "Internal Server Error",
     }
 }
 
-/// Reads one request off the stream. Returns `Err((status, message))`
-/// on malformed input so the caller can answer with a typed error.
-fn read_request(stream: &mut TcpStream) -> Result<Request, (u16, String)> {
-    let mut reader = BufReader::new(stream);
-    let mut line = String::new();
-    reader
-        .read_line(&mut line)
-        .map_err(|e| (400, format!("unreadable request line: {e}")))?;
+/// The bytes read off one connection so far, and how far the request
+/// has been parsed.
+struct Conn<'s> {
+    stream: &'s mut TcpStream,
+    accepted: Instant,
+    buf: Vec<u8>,
+    /// Bytes of `buf` holding data read off the stream.
+    filled: usize,
+    /// Start of the bytes not yet parsed.
+    pos: usize,
+}
+
+impl Conn<'_> {
+    /// Reads at most `room` more bytes, refusing with `408` once
+    /// `deadline` has passed since accept. Returns 0 at end of stream.
+    fn fill(&mut self, room: usize, deadline: Duration) -> Result<usize, Refusal> {
+        let end = self.filled + room;
+        if self.buf.len() < end {
+            self.buf.resize(end, 0);
+        }
+        let timed_out = || (408, format!("request not received within {deadline:?}"));
+        loop {
+            let left = deadline.saturating_sub(self.accepted.elapsed());
+            if left.is_zero() {
+                return Err(timed_out());
+            }
+            let _ = self.stream.set_read_timeout(Some(left));
+            let into = self.buf.get_mut(self.filled..end).unwrap_or_default();
+            match self.stream.read(into) {
+                Ok(n) => {
+                    self.filled += n;
+                    return Ok(n);
+                }
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+                    return Err(timed_out());
+                }
+                Err(e) => return Err((400, format!("unreadable request: {e}"))),
+            }
+        }
+    }
+
+    /// The next line of the head, without its `\n`; `None` at end of
+    /// stream with nothing left. The line must end before byte `limit`
+    /// of the connection, and is refused with `too_long` otherwise.
+    fn line(&mut self, limit: usize, too_long: fn() -> Refusal) -> Result<Option<&[u8]>, Refusal> {
+        let mut scanned = self.pos;
+        loop {
+            let newline = self
+                .buf
+                .get(scanned..self.filled)
+                .and_then(|unread| unread.iter().position(|&b| b == b'\n'));
+            let end = match newline {
+                Some(n) if scanned + n >= limit => return Err(too_long()),
+                Some(n) => scanned + n,
+                None if self.filled >= limit => return Err(too_long()),
+                None => {
+                    scanned = self.filled;
+                    if self.fill(HEAD_CHUNK, HEAD_DEADLINE)? > 0 {
+                        continue;
+                    }
+                    // End of stream: what is left is the last line.
+                    if self.pos == self.filled {
+                        return Ok(None);
+                    }
+                    self.filled
+                }
+            };
+            let start = self.pos;
+            self.pos = (end + 1).min(self.filled);
+            return Ok(self.buf.get(start..end));
+        }
+    }
+}
+
+fn request_line_too_long() -> Refusal {
+    let message = format!("request line exceeds {MAX_REQUEST_LINE_BYTES} bytes");
+    (414, message)
+}
+
+fn header_block_too_large() -> Refusal {
+    let message = format!("header block exceeds {MAX_HEADER_BYTES} bytes");
+    (431, message)
+}
+
+/// Reads one request off the stream within the size limits and
+/// deadlines above. Returns `Err((status, message))` on malformed,
+/// oversized or late input so the caller can answer with a typed error.
+fn read_request(stream: &mut TcpStream, accepted: Instant) -> Result<Request, Refusal> {
+    let mut conn = Conn {
+        stream,
+        accepted,
+        buf: Vec::new(),
+        filled: 0,
+        pos: 0,
+    };
+    let line = conn
+        .line(MAX_REQUEST_LINE_BYTES, request_line_too_long)?
+        .unwrap_or_default();
+    let line = std::str::from_utf8(line)
+        .map_err(|_| (400, "request line is not valid UTF-8".to_string()))?;
     let mut parts = line.split_whitespace();
     let method = parts
         .next()
@@ -50,14 +174,13 @@ fn read_request(stream: &mut TcpStream) -> Result<Request, (u16, String)> {
         .ok_or_else(|| (400, "request line carries no path".to_string()))?
         .to_string();
 
+    let header_limit = conn.pos + MAX_HEADER_BYTES;
     let mut content_length = 0usize;
     let mut accept = String::new();
-    loop {
-        let mut header = String::new();
-        let n = reader
-            .read_line(&mut header)
-            .map_err(|e| (400, format!("unreadable header: {e}")))?;
-        if n == 0 || header.trim().is_empty() {
+    while let Some(header) = conn.line(header_limit, header_block_too_large)? {
+        let header = std::str::from_utf8(header)
+            .map_err(|_| (400, "header is not valid UTF-8".to_string()))?;
+        if header.trim().is_empty() {
             break;
         }
         if let Some((name, value)) = header.split_once(':') {
@@ -74,10 +197,18 @@ fn read_request(stream: &mut TcpStream) -> Result<Request, (u16, String)> {
     if content_length > MAX_BODY_BYTES {
         return Err((413, format!("body exceeds {MAX_BODY_BYTES} bytes")));
     }
-    let mut raw = vec![0u8; content_length];
-    reader
-        .read_exact(&mut raw)
-        .map_err(|e| (400, format!("truncated body: {e}")))?;
+    let (start, end) = (conn.pos, conn.pos + content_length);
+    while conn.filled < end {
+        if conn.fill(end - conn.filled, REQUEST_DEADLINE)? == 0 {
+            return Err((
+                400,
+                "truncated body: failed to fill whole buffer".to_string(),
+            ));
+        }
+    }
+    let mut raw = conn.buf;
+    raw.truncate(end);
+    raw.drain(..start);
     let body = String::from_utf8(raw).map_err(|_| (400, "body is not valid UTF-8".to_string()))?;
     Ok(Request {
         method,
@@ -87,22 +218,27 @@ fn read_request(stream: &mut TcpStream) -> Result<Request, (u16, String)> {
     })
 }
 
-/// Writes one `Connection: close` response with the given content type.
+/// Writes one `Connection: close` response: head and body in one
+/// buffer, sent with one write.
 fn write_response(stream: &mut TcpStream, code: u16, content_type: &str, body: &str) {
-    let head = format!(
+    let mut wire = String::with_capacity(body.len() + 128);
+    let _ = write!(
+        wire,
         "HTTP/1.1 {code} {}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
         status_text(code),
         body.len()
     );
+    wire.push_str(body);
     // A peer that hung up mid-response is its own problem; the server
     // must not die for it.
-    let _ = stream.write_all(head.as_bytes());
-    let _ = stream.write_all(body.as_bytes());
-    let _ = stream.flush();
+    let _ = stream.write_all(wire.as_bytes());
 }
 
-fn error_body(message: &str) -> String {
-    obj(vec![("error", Value::Str(message.to_string()))]).to_json()
+/// Appends the `{"error": message}` document.
+fn error_body(message: &str, out: &mut String) {
+    out.push_str("{\"error\":");
+    json::write_escaped(message, out);
+    out.push('}');
 }
 
 /// `true` when the `Accept` header asks for the Prometheus text
@@ -128,14 +264,17 @@ pub(super) fn handle_connection(
 ) {
     let started = Instant::now();
     let id = registry.next_id();
-    let _ = stream.set_read_timeout(Some(Duration::from_secs(10)));
-    let _ = stream.set_nonblocking(false);
-    let request = read_request(&mut stream);
+    let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
+    let request = read_request(&mut stream, started);
     let read_us = micros_since(started);
     let handle_started = Instant::now();
-    let (code, body, content_type) = match &request {
-        Ok(request) => route(request, registry, worker, access_log),
-        Err((code, message)) => (*code, error_body(message), JSON_CONTENT_TYPE),
+    let mut body = String::new();
+    let (code, content_type) = match &request {
+        Ok(request) => route(request, registry, worker, access_log, &mut body),
+        Err((code, message)) => {
+            error_body(message, &mut body);
+            (*code, JSON_CONTENT_TYPE)
+        }
     };
     // A request refused while being read was never handled.
     let handle_us = request.as_ref().map_or(0, |_| micros_since(handle_started));
@@ -160,48 +299,50 @@ pub(super) fn handle_connection(
     }
 }
 
-/// Dispatches a parsed request to its endpoint. Returns status, body,
-/// and the response content type.
+/// Dispatches a parsed request to its endpoint, appending the response
+/// body to `out`. Returns the status and the response content type.
 fn route(
     request: &Request,
     registry: &Registry,
     worker: usize,
     access_log: Option<&AccessLog>,
-) -> (u16, String, &'static str) {
+    out: &mut String,
+) -> (u16, &'static str) {
     match (request.method.as_str(), request.path.as_str()) {
-        ("GET", "/healthz") => (
-            200,
-            obj(vec![
+        ("GET", "/healthz") => {
+            let health = obj(vec![
                 ("status", Value::Str("ok".to_string())),
                 ("pipelines", Value::from_u64(registry.len() as u64)),
-            ])
-            .to_json(),
-            JSON_CONTENT_TYPE,
-        ),
+            ]);
+            out.push_str(&health.to_json());
+            (200, JSON_CONTENT_TYPE)
+        }
+        ("GET", "/metrics") if wants_prometheus(&request.accept) => {
+            out.push_str(&registry.metrics_prometheus());
+            (200, TEXT_CONTENT_TYPE)
+        }
         ("GET", "/metrics") => {
-            if wants_prometheus(&request.accept) {
-                (200, registry.metrics_prometheus(), TEXT_CONTENT_TYPE)
-            } else {
-                (200, registry.metrics_value().to_json(), JSON_CONTENT_TYPE)
-            }
+            out.push_str(&registry.metrics_value().to_json());
+            (200, JSON_CONTENT_TYPE)
         }
         (method, path) => {
-            let Some(fingerprint) = path.strip_prefix("/predict/") else {
-                return (404, error_body("no such endpoint"), JSON_CONTENT_TYPE);
+            let outcome = match path.strip_prefix("/predict/") {
+                None => Err((404, "no such endpoint".to_string())),
+                Some(_) if method != "POST" => Err((405, "predict requires POST".to_string())),
+                Some(fingerprint) => registry
+                    .get(fingerprint)
+                    .ok_or_else(|| (404, "unknown pipeline fingerprint".to_string()))
+                    .and_then(|entry| {
+                        predict(registry, entry, worker, &request.body, access_log, out)
+                            .map_err(|message| (400, message))
+                    }),
             };
-            if method != "POST" {
-                return (405, error_body("predict requires POST"), JSON_CONTENT_TYPE);
-            }
-            let Some(entry) = registry.get(fingerprint) else {
-                return (
-                    404,
-                    error_body("unknown pipeline fingerprint"),
-                    JSON_CONTENT_TYPE,
-                );
-            };
-            match predict(registry, entry, worker, &request.body, access_log) {
-                Ok(value) => (200, value.to_json(), JSON_CONTENT_TYPE),
-                Err(message) => (400, error_body(&message), JSON_CONTENT_TYPE),
+            match outcome {
+                Ok(()) => (200, JSON_CONTENT_TYPE),
+                Err((code, message)) => {
+                    error_body(&message, out);
+                    (code, JSON_CONTENT_TYPE)
+                }
             }
         }
     }

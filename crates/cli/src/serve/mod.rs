@@ -54,28 +54,29 @@
 
 mod access_log;
 mod alerts;
+mod decode;
 mod http;
 mod metrics;
 mod telemetry;
+#[cfg(test)]
+mod tests;
 
 use std::collections::BTreeMap;
-use std::net::{SocketAddr, TcpListener};
+use std::fmt::Write as _;
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use fairprep_core::seal::{ScoredRow, SealedPipeline};
-use fairprep_data::column::{Column, ColumnKind};
-use fairprep_data::frame::DataFrame;
 use fairprep_data::parallel::scoped_workers;
-use fairprep_data::schema::Role;
 use fairprep_trace::alert::AlertSpec;
-use fairprep_trace::json::{obj, Value};
+use fairprep_trace::json::{self, Value};
 
 pub use access_log::AccessLog;
 use alerts::{ArmedAlert, CanaryConfig, WebhookSender};
-pub use http::{http_request, http_request_accept};
+pub use http::{http_request, http_request_accept, HEAD_DEADLINE, MAX_REQUEST_LINE_BYTES};
 use metrics::PipelineView;
 use telemetry::{PipeTelemetry, WINDOW_SPECS};
 
@@ -284,100 +285,59 @@ impl Registry {
     }
 }
 
-/// Builds the raw request frame for `sealed` from parsed JSON rows.
-/// Every non-label schema column must be present typed as declared;
-/// `null` (or an absent key) is a missing cell routed to the sealed
-/// missing-value handler.
-fn frame_from_rows(sealed: &SealedPipeline, rows: &[&Value]) -> Result<DataFrame, String> {
-    let mut frame = DataFrame::new();
-    for field in sealed.schema().fields() {
-        if field.role == Role::Label {
-            continue;
+/// Appends one scored batch as the canonical response document,
+/// `{"model":…,"n":"…","predictions":[…]}`. Scores ride along as
+/// IEEE-754 bit patterns so clients can assert replay is bit-identical,
+/// not merely close.
+fn write_predictions(fingerprint: &str, scored: &[ScoredRow], out: &mut String) {
+    let flag = |b: bool| if b { "true" } else { "false" };
+    let num = |n: Option<f64>, out: &mut String| match n {
+        Some(n) => json::write_f64(n, out),
+        None => out.push_str("null"),
+    };
+    out.push_str("{\"model\":");
+    json::write_escaped(fingerprint, out);
+    let _ = write!(out, ",\"n\":\"{}\",\"predictions\":[", scored.len());
+    for (i, row) in scored.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
         }
-        let column = match field.kind {
-            ColumnKind::Numeric => {
-                let mut values: Vec<Option<f64>> = Vec::with_capacity(rows.len());
-                for row in rows {
-                    values.push(match row.get(&field.name) {
-                        None | Some(Value::Null) => None,
-                        Some(Value::Num(n)) => Some(*n),
-                        Some(_) => return Err(format!("column `{}` expects a number", field.name)),
-                    });
-                }
-                Column::from_optional_f64(values)
+        out.push_str("{\"privileged\":");
+        out.push_str(flag(row.privileged));
+        out.push_str(",\"dropped\":");
+        out.push_str(flag(row.dropped()));
+        out.push_str(",\"score\":");
+        num(row.score, out);
+        out.push_str(",\"score_bits\":");
+        match row.score {
+            Some(score) => {
+                out.push('"');
+                json::write_bits(score, out);
+                out.push('"');
             }
-            ColumnKind::Categorical => {
-                let mut values: Vec<Option<&str>> = Vec::with_capacity(rows.len());
-                for row in rows {
-                    values.push(match row.get(&field.name) {
-                        None | Some(Value::Null) => None,
-                        Some(Value::Str(s)) => Some(s.as_str()),
-                        Some(_) => return Err(format!("column `{}` expects a string", field.name)),
-                    });
-                }
-                Column::from_optional_strs(values)
-            }
-        };
-        frame
-            .add_column(&field.name, column)
-            .map_err(|e| e.to_string())?;
+            None => out.push_str("null"),
+        }
+        out.push_str(",\"decision\":");
+        num(row.decision, out);
+        out.push('}');
     }
-    Ok(frame)
-}
-
-/// Extracts the row objects from a predict request body: either
-/// `{"row": {...}}` or `{"rows": [{...}, ...]}`.
-fn rows_of_request(body: &Value) -> Result<Vec<&Value>, String> {
-    if let Some(row) = body.get("row") {
-        return Ok(vec![row]);
-    }
-    let rows = body
-        .get("rows")
-        .and_then(Value::as_array)
-        .ok_or_else(|| "request must carry `row` (object) or `rows` (array)".to_string())?;
-    if rows.is_empty() {
-        return Err("`rows` must not be empty".to_string());
-    }
-    Ok(rows.iter().collect())
-}
-
-/// Renders one scored batch as the canonical response document. Scores
-/// ride along as IEEE-754 bit patterns so clients can assert replay is
-/// bit-identical, not merely close.
-fn response_value(fingerprint: &str, scored: &[ScoredRow]) -> Value {
-    let predictions = scored
-        .iter()
-        .map(|row| {
-            obj(vec![
-                ("privileged", Value::Bool(row.privileged)),
-                ("dropped", Value::Bool(row.dropped())),
-                ("score", row.score.map_or(Value::Null, Value::Num)),
-                ("score_bits", row.score.map_or(Value::Null, Value::bits)),
-                ("decision", row.decision.map_or(Value::Null, Value::Num)),
-            ])
-        })
-        .collect();
-    obj(vec![
-        ("model", Value::Str(fingerprint.to_string())),
-        ("n", Value::from_u64(scored.len() as u64)),
-        ("predictions", Value::Arr(predictions)),
-    ])
+    out.push_str("]}");
 }
 
 /// Scores one predict request against `entry`, updating its telemetry
-/// on the calling worker's shards and advancing any armed alerts.
+/// on the calling worker's shards and advancing any armed alerts. The
+/// response document is appended to `out`.
 fn predict(
     registry: &Registry,
     entry: &Entry,
     worker: usize,
     body: &str,
     access_log: Option<&AccessLog>,
-) -> Result<Value, String> {
+    out: &mut String,
+) -> Result<(), String> {
     let started = Instant::now();
     let outcome = (|| {
-        let parsed = fairprep_trace::json::parse(body).map_err(|e| format!("bad JSON: {e}"))?;
-        let rows = rows_of_request(&parsed)?;
-        let frame = frame_from_rows(&entry.sealed, &rows)?;
+        let frame = decode::decode_frame(entry.sealed.schema(), body)?;
         let scored = entry
             .sealed
             .score_frame(frame.clone())
@@ -391,7 +351,7 @@ fn predict(
                 drift.observe(column);
             }
         }
-        alerts::maybe_shadow_score(registry, entry, &rows, &scored);
+        alerts::maybe_shadow_score(registry, entry, body, &scored);
         Ok(scored)
     })();
     let fixed = registry.fixed_latency_us.load(Ordering::Relaxed);
@@ -403,7 +363,8 @@ fn predict(
     let result = match outcome {
         Ok(scored) => {
             entry.telemetry.record_batch(worker, &scored, elapsed_us);
-            Ok(response_value(&entry.sealed.fingerprint, &scored))
+            write_predictions(&entry.sealed.fingerprint, &scored, out);
+            Ok(())
         }
         Err(message) => {
             entry.telemetry.record_error(worker);
@@ -413,6 +374,15 @@ fn predict(
     alerts::evaluate(registry, entry, access_log);
     result
 }
+
+/// How long an accept worker waits after an accept *error* (such as
+/// running out of file descriptors) before it tries again. A normal
+/// accept never waits: workers block in `accept` until a connection or
+/// a shutdown wake-up arrives.
+const ACCEPT_ERROR_BACKOFF: Duration = Duration::from_millis(2);
+
+/// Bound on connecting to the listener to wake a worker at shutdown.
+const WAKE_TIMEOUT: Duration = Duration::from_secs(1);
 
 /// A bound scoring server. [`Server::serve_blocking`] runs the accept
 /// loop on the calling thread's scope; [`ServerHandle::spawn`] wraps it
@@ -455,42 +425,41 @@ impl Server {
         &self.registry
     }
 
-    /// Flag that makes every worker exit its accept loop when set.
-    #[must_use]
-    pub fn stop_flag(&self) -> Arc<AtomicBool> {
-        Arc::clone(&self.stop)
-    }
-
-    /// Runs `threads` accept workers until the stop flag is raised.
+    /// Runs `threads` accept workers until [`ServerHandle::stop`] (or
+    /// dropping the handle) shuts them down.
     ///
-    /// The listener is switched to non-blocking and shared by every
-    /// worker (`TcpListener::accept` takes `&self`); the kernel hands
-    /// each incoming connection to exactly one of them, and the worker's
+    /// Every worker blocks in `accept` on the shared listener
+    /// (`TcpListener::accept` takes `&self`); the kernel hands each
+    /// incoming connection to exactly one of them, and the worker's
     /// index routes telemetry onto that worker's private metric shards.
-    /// `WouldBlock` backs off briefly so an idle server stays cheap.
+    /// Shutdown raises the stop flag and connects once to the listener:
+    /// the worker that accepts that connection sees the flag, connects
+    /// again to wake the next one, and exits.
     pub fn serve_blocking(&self, threads: usize) -> Result<(), String> {
-        self.listener
-            .set_nonblocking(true)
-            .map_err(|e| e.to_string())?;
+        let addr = self.local_addr()?;
         let registry = &self.registry;
         let stop = &self.stop;
         let listener = &self.listener;
         let access_log = self.access_log.as_ref();
         scoped_workers(threads.max(1), |worker| {
-            while !stop.load(Ordering::Relaxed) {
+            while !stop.load(Ordering::SeqCst) {
                 match listener.accept() {
+                    Ok(_) if stop.load(Ordering::SeqCst) => wake(addr),
                     Ok((stream, _peer)) => {
                         http::handle_connection(stream, registry, worker, access_log);
                     }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(Duration::from_millis(2));
-                    }
-                    Err(_) => std::thread::sleep(Duration::from_millis(2)),
+                    Err(_) => std::thread::sleep(ACCEPT_ERROR_BACKOFF),
                 }
             }
         });
         Ok(())
     }
+}
+
+/// Connects to the listener at `addr` so that one worker blocked in
+/// `accept` returns and sees the stop flag.
+fn wake(addr: SocketAddr) {
+    let _ = TcpStream::connect_timeout(&addr, WAKE_TIMEOUT);
 }
 
 /// A server running on a background thread; used by the golden replay
@@ -521,7 +490,7 @@ impl ServerHandle {
             server = server.with_access_log(path, sample_rate)?;
         }
         let addr = server.local_addr()?;
-        let stop = server.stop_flag();
+        let stop = Arc::clone(&server.stop);
         let registry = Arc::clone(&server.registry);
         let join = std::thread::spawn(move || {
             let _ = server.serve_blocking(threads);
@@ -546,14 +515,16 @@ impl ServerHandle {
         &self.registry
     }
 
-    /// Raises the stop flag and joins the serving thread.
+    /// Shuts the workers down, joins the serving thread and closes the
+    /// listener.
     pub fn stop(mut self) {
         self.shutdown();
     }
 
     fn shutdown(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
         if let Some(join) = self.join.take() {
+            self.stop.store(true, Ordering::SeqCst);
+            wake(self.addr);
             let _ = join.join();
         }
     }

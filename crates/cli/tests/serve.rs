@@ -1,12 +1,19 @@
 //! Integration tests of the scoring service: endpoint behavior, typed
 //! errors, concurrency (N hammering clients reproduce the sequential
-//! replay byte-for-byte), and `/metrics` semantics — decision rates by
-//! protected group and PSI drift against the sealed training profile.
+//! replay byte-for-byte), `/metrics` semantics — decision rates by
+//! protected group and PSI drift against the sealed training profile —
+//! and the connection path's bounds: slow and oversized clients are
+//! refused in bounded time, and shutdown wakes every worker.
 
+use std::io::{ErrorKind, Read, Write};
+use std::net::{Shutdown, TcpStream};
 use std::sync::OnceLock;
+use std::time::{Duration, Instant};
 
 use fairprep_cli::golden::{golden_bodies, golden_pipeline, row_value};
-use fairprep_cli::serve::{http_request, Registry, ServerHandle};
+use fairprep_cli::serve::{
+    http_request, Registry, ServerHandle, HEAD_DEADLINE, MAX_REQUEST_LINE_BYTES,
+};
 use fairprep_trace::json::{obj, parse, Value};
 
 /// One fitted german pipeline shared by every test in this file (the
@@ -393,6 +400,163 @@ fn refused_requests_do_not_move_drift() {
                 "{metrics}"
             );
             assert_eq!(column.get("warn"), Some(&Value::Bool(false)), "{metrics}");
+        }
+    }
+}
+
+/// The status code of a raw HTTP response, if it has a status line.
+fn status_of(raw: &[u8]) -> Option<u16> {
+    let text = String::from_utf8_lossy(raw);
+    text.strip_prefix("HTTP/1.1 ")?.get(..3)?.parse().ok()
+}
+
+/// Sends a request head on `stream` one byte every 200 ms, never
+/// finishing it, and returns the status the server answers with, or
+/// `None` if no answer comes within `give_up`.
+fn dribble(mut stream: TcpStream, give_up: Duration) -> Option<u16> {
+    let head = b"GET /healthz HTTP/1.1\r\nX-Slow: ";
+    stream
+        .set_read_timeout(Some(Duration::from_millis(200)))
+        .ok()?;
+    let started = Instant::now();
+    let mut response = Vec::new();
+    let mut chunk = [0u8; 512];
+    for sent in 0.. {
+        if started.elapsed() > give_up {
+            break;
+        }
+        if response.is_empty() {
+            let byte = head.get(sent).copied().unwrap_or(b'a');
+            let _ = stream.write_all(&[byte]);
+        }
+        match stream.read(&mut chunk) {
+            Ok(0) => break,
+            Ok(n) => response.extend_from_slice(&chunk[..n]),
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {}
+            Err(_) => break,
+        }
+    }
+    status_of(&response)
+}
+
+/// N+1 clients that dribble their request heads against N workers: the
+/// server answers each with 408 once the head deadline passes, so a
+/// healthy request waits at most two head deadlines.
+fn dribblers_cannot_stall_a_healthy_request(workers: usize) {
+    let server = ServerHandle::spawn(Registry::new(), 0, workers).unwrap();
+    let addr = server.addr();
+    let give_up = HEAD_DEADLINE * 6;
+    // Every dribbler is connected, so queued for accept, before the
+    // healthy request.
+    let dribblers: Vec<_> = (0..=workers)
+        .map(|_| {
+            let stream = TcpStream::connect(addr).unwrap();
+            std::thread::spawn(move || dribble(stream, give_up))
+        })
+        .collect();
+    let started = Instant::now();
+    let (status, body) = http_request(addr, "GET", "/healthz", None).unwrap();
+    let waited = started.elapsed();
+    assert_eq!(status, 200, "{body}");
+    let bound = HEAD_DEADLINE * 2 + Duration::from_secs(1);
+    assert!(
+        waited <= bound,
+        "a healthy request waited {waited:?} behind {} dribblers on {workers} worker(s); bound {bound:?}",
+        workers + 1
+    );
+    for dribbler in dribblers {
+        assert_eq!(dribbler.join().unwrap(), Some(408));
+    }
+    server.stop();
+}
+
+#[test]
+fn dribbling_clients_cannot_stall_one_worker() {
+    dribblers_cannot_stall_a_healthy_request(1);
+}
+
+#[test]
+fn dribbling_clients_cannot_stall_two_workers() {
+    dribblers_cannot_stall_a_healthy_request(2);
+}
+
+/// A 64 MiB request line with no line end is refused with 414 after the
+/// first few KiB, and the connection closes long before all of it is
+/// sent.
+#[test]
+fn an_endless_request_line_is_refused_with_414() {
+    const TOTAL: usize = 64 * 1024 * 1024;
+    let server = ServerHandle::spawn(Registry::new(), 0, 1).unwrap();
+    let mut stream = TcpStream::connect(server.addr()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    stream
+        .set_write_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    let mut reader = stream.try_clone().unwrap();
+    let response = std::thread::spawn(move || {
+        // A reset after the response keeps the bytes read before it.
+        let mut raw = Vec::new();
+        let _ = reader.read_to_end(&mut raw);
+        raw
+    });
+    let chunk = vec![b'A'; 64 * 1024];
+    let mut sent = 0;
+    while sent < TOTAL {
+        match stream.write(&chunk) {
+            Ok(n) => sent += n,
+            Err(_) => break,
+        }
+    }
+    let _ = stream.shutdown(Shutdown::Write);
+    let raw = response.join().unwrap();
+    assert_eq!(
+        status_of(&raw),
+        Some(414),
+        "{}",
+        String::from_utf8_lossy(&raw)
+    );
+    assert!(
+        sent < TOTAL / 4,
+        "the server took {sent} of {TOTAL} bytes of a line capped at {MAX_REQUEST_LINE_BYTES}"
+    );
+    server.stop();
+}
+
+/// Workers block in `accept`; `stop()` must wake every one of them,
+/// idle or right after traffic, and close the port.
+#[test]
+fn stop_wakes_every_blocked_worker() {
+    for workers in [1, 2, 8] {
+        for traffic in [false, true] {
+            let server = ServerHandle::spawn(Registry::new(), 0, workers).unwrap();
+            let addr = server.addr();
+            if traffic {
+                for _ in 0..2 * workers {
+                    let (status, body) = http_request(addr, "GET", "/healthz", None).unwrap();
+                    assert_eq!(status, 200, "{body}");
+                }
+            } else {
+                // Time for the workers to block in `accept`; `stop()`
+                // must also work if some have not got there yet.
+                std::thread::sleep(Duration::from_millis(100));
+            }
+            let (done, stopped) = std::sync::mpsc::channel();
+            let stopping = std::thread::spawn(move || {
+                server.stop();
+                let _ = done.send(());
+            });
+            let phase = if traffic { "after traffic" } else { "idle" };
+            assert!(
+                stopped.recv_timeout(Duration::from_secs(1)).is_ok(),
+                "stop() did not return within 1 s with {workers} worker(s), {phase}"
+            );
+            stopping.join().unwrap();
+            assert!(
+                TcpStream::connect(addr).is_err(),
+                "{addr} is still served after stop() with {workers} worker(s), {phase}"
+            );
         }
     }
 }

@@ -4,7 +4,9 @@
 //! Only what that tooling needs: objects (key order preserved), arrays,
 //! strings with the escapes the writer emits, numbers, booleans, and
 //! null. Errors are descriptive strings with byte offsets; nothing in
-//! here can panic on malformed input.
+//! here can panic on malformed input. [`parse`] is built on [`Scanner`],
+//! which exposes the same rules one token at a time to callers that
+//! decode a document without building a [`Value`] tree.
 //!
 //! The writer ([`Value::to_json`]) is *canonical*: member order is the
 //! insertion order, no whitespace, floats in shortest-roundtrip form
@@ -12,6 +14,11 @@
 //! `f64` values — including NaN payloads — goes through the bit-pattern
 //! helpers ([`Value::bits`] / [`Value::as_f64_bits`]), the same `%016x`
 //! convention the sweep journal uses for its authoritative float fields.
+//! [`write_f64`], [`write_bits`] and [`write_escaped`] append the same
+//! text for writers that render straight into a buffer.
+
+use std::borrow::Cow;
+use std::fmt::Write as _;
 
 /// A parsed JSON value. Object member order is preserved.
 #[derive(Debug, Clone, PartialEq)]
@@ -101,7 +108,9 @@ impl Value {
     /// payloads and signed zeros.
     #[must_use]
     pub fn bits(v: f64) -> Value {
-        Value::Str(format!("{:016x}", v.to_bits()))
+        let mut hex = String::with_capacity(16);
+        write_bits(v, &mut hex);
+        Value::Str(hex)
     }
 
     /// A slice of floats as an array of bit-pattern strings.
@@ -154,15 +163,7 @@ impl Value {
         match self {
             Value::Null => out.push_str("null"),
             Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Value::Num(n) => {
-                if n.is_finite() {
-                    // Shortest round-trip formatting: deterministic and
-                    // byte-stable across platforms.
-                    out.push_str(&format!("{n:?}"));
-                } else {
-                    out.push_str("null");
-                }
-            }
+            Value::Num(n) => write_f64(*n, out),
             Value::Str(s) => write_escaped(s, out),
             Value::Arr(items) => {
                 out.push('[');
@@ -188,6 +189,23 @@ impl Value {
             }
         }
     }
+}
+
+/// Appends `n` as a JSON number in shortest round-trip form —
+/// deterministic and byte-stable across platforms — or `null` when it
+/// is not finite.
+pub fn write_f64(n: f64, out: &mut String) {
+    if n.is_finite() {
+        let _ = write!(out, "{n:?}");
+    } else {
+        out.push_str("null");
+    }
+}
+
+/// Appends the `%016x` IEEE-754 bit pattern of `v`, unquoted: the text
+/// of [`Value::bits`].
+pub fn write_bits(v: f64, out: &mut String) {
+    let _ = write!(out, "{:016x}", v.to_bits());
 }
 
 /// Appends `s` to `out` as a JSON string literal, quotes included, with
@@ -223,182 +241,321 @@ pub fn obj(members: Vec<(&str, Value)>) -> Value {
 /// Parses a complete JSON document. Trailing whitespace is allowed;
 /// trailing garbage is an error.
 pub fn parse(input: &str) -> Result<Value, String> {
-    let bytes = input.as_bytes();
-    let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos, 0)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
-        return Err(format!("trailing garbage at byte {pos}"));
-    }
+    let mut scanner = Scanner::new(input);
+    let value = parse_value(&mut scanner, 0)?;
+    scanner.finish()?;
     Ok(value)
 }
 
-const MAX_DEPTH: usize = 128;
+fn parse_value(scanner: &mut Scanner<'_>, depth: usize) -> Result<Value, String> {
+    Ok(match scanner.value(depth)? {
+        Token::Object => {
+            let mut members = Vec::new();
+            let mut key = scanner.first_key()?;
+            while let Some(name) = key {
+                members.push((name.into_owned(), parse_value(scanner, depth + 1)?));
+                key = scanner.next_key()?;
+            }
+            Value::Obj(members)
+        }
+        Token::Array => {
+            let mut items = Vec::new();
+            let mut more = scanner.first_item();
+            while more {
+                items.push(parse_value(scanner, depth + 1)?);
+                more = scanner.next_item()?;
+            }
+            Value::Arr(items)
+        }
+        Token::Str(text) => Value::Str(text.into_owned()),
+        Token::Num(n) => Value::Num(n),
+        Token::Bool(b) => Value::Bool(b),
+        Token::Null => Value::Null,
+    })
+}
 
-fn skip_ws(bytes: &[u8], pos: &mut usize) {
-    while let Some(&b) = bytes.get(*pos) {
-        if matches!(b, b' ' | b'\t' | b'\n' | b'\r') {
-            *pos += 1;
-        } else {
-            break;
+/// The deepest nesting [`parse`] and every [`Scanner`] walk accept: the
+/// document itself is at depth 0, and a value nested deeper than this
+/// is refused.
+pub const MAX_DEPTH: usize = 128;
+
+/// The start of one value, as [`Scanner::value`] reads it: a scalar
+/// whole, or the opening bracket of an object or an array.
+#[derive(Debug, PartialEq)]
+pub enum Token<'a> {
+    /// `{` was consumed; read the members with [`Scanner::first_key`]
+    /// and [`Scanner::next_key`].
+    Object,
+    /// `[` was consumed; read the items with [`Scanner::first_item`]
+    /// and [`Scanner::next_item`].
+    Array,
+    /// A string, unescaped; borrowed from the input when it holds no
+    /// escape.
+    Str(Cow<'a, str>),
+    /// A number.
+    Num(f64),
+    /// `true` or `false`.
+    Bool(bool),
+    /// `null`.
+    Null,
+}
+
+/// A cursor over one JSON document that applies this module's rules —
+/// whitespace, literals, numbers, strings, nesting depth and error
+/// messages — one token at a time. [`parse`] builds its [`Value`] tree
+/// on it; a caller that wants something else (the scoring service
+/// decodes request rows straight into columns) walks the same tokens
+/// without building the tree, and accepts and refuses exactly the
+/// documents [`parse`] does.
+pub struct Scanner<'a> {
+    text: &'a str,
+    pos: usize,
+}
+
+impl<'a> Scanner<'a> {
+    /// A scanner at the start of `text`.
+    #[must_use]
+    pub fn new(text: &'a str) -> Self {
+        Scanner { text, pos: 0 }
+    }
+
+    fn bytes(&self) -> &'a [u8] {
+        self.text.as_bytes()
+    }
+
+    fn peek(&self) -> Option<u8> {
+        self.bytes().get(self.pos).copied()
+    }
+
+    fn skip_ws(&mut self) {
+        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+            self.pos += 1;
         }
     }
-}
 
-fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Value, String> {
-    if depth > MAX_DEPTH {
-        return Err(format!("nesting deeper than {MAX_DEPTH} at byte {pos}"));
-    }
-    skip_ws(bytes, pos);
-    match bytes.get(*pos) {
-        Some(b'{') => parse_obj(bytes, pos, depth),
-        Some(b'[') => parse_arr(bytes, pos, depth),
-        Some(b'"') => parse_str(bytes, pos).map(Value::Str),
-        Some(b't') => parse_lit(bytes, pos, "true", Value::Bool(true)),
-        Some(b'f') => parse_lit(bytes, pos, "false", Value::Bool(false)),
-        Some(b'n') => parse_lit(bytes, pos, "null", Value::Null),
-        Some(b'-' | b'0'..=b'9') => parse_num(bytes, pos),
-        Some(&b) => Err(format!("unexpected byte {:?} at {}", b as char, *pos)),
-        None => Err("unexpected end of input".to_string()),
-    }
-}
-
-fn parse_lit(bytes: &[u8], pos: &mut usize, lit: &str, value: Value) -> Result<Value, String> {
-    if bytes.get(*pos..*pos + lit.len()) == Some(lit.as_bytes()) {
-        *pos += lit.len();
-        Ok(value)
-    } else {
-        Err(format!("invalid literal at byte {}", *pos))
-    }
-}
-
-fn parse_num(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
-    let start = *pos;
-    while let Some(&b) = bytes.get(*pos) {
-        if matches!(b, b'-' | b'+' | b'.' | b'e' | b'E' | b'0'..=b'9') {
-            *pos += 1;
-        } else {
-            break;
+    /// Reads the start of the value at nesting `depth` (0 for the
+    /// document itself, one more inside each object or array).
+    pub fn value(&mut self, depth: usize) -> Result<Token<'a>, String> {
+        if depth > MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} at byte {}",
+                self.pos
+            ));
+        }
+        self.skip_ws();
+        match self.peek() {
+            Some(b'{') => {
+                self.pos += 1;
+                Ok(Token::Object)
+            }
+            Some(b'[') => {
+                self.pos += 1;
+                Ok(Token::Array)
+            }
+            Some(b'"') => self.string().map(Token::Str),
+            Some(b't') => self.literal("true", Token::Bool(true)),
+            Some(b'f') => self.literal("false", Token::Bool(false)),
+            Some(b'n') => self.literal("null", Token::Null),
+            Some(b'-' | b'0'..=b'9') => self.number().map(Token::Num),
+            Some(b) => Err(format!("unexpected byte {:?} at {}", b as char, self.pos)),
+            None => Err("unexpected end of input".to_string()),
         }
     }
-    let text = std::str::from_utf8(bytes.get(start..*pos).unwrap_or(b""))
-        .map_err(|_| format!("invalid number at byte {start}"))?;
-    text.parse::<f64>()
-        .map(Value::Num)
-        .map_err(|_| format!("invalid number {text:?} at byte {start}"))
-}
 
-fn parse_str(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
-    // Caller guarantees bytes[*pos] == b'"'.
-    *pos += 1;
-    let mut out = String::new();
-    loop {
-        match bytes.get(*pos) {
-            None => return Err("unterminated string".to_string()),
-            Some(b'"') => {
-                *pos += 1;
-                return Ok(out);
-            }
-            Some(b'\\') => {
-                *pos += 1;
-                match bytes.get(*pos) {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'b') => out.push('\u{0008}'),
-                    Some(b'f') => out.push('\u{000c}'),
-                    Some(b'u') => {
-                        let hex = bytes
-                            .get(*pos + 1..*pos + 5)
-                            .and_then(|h| std::str::from_utf8(h).ok())
-                            .ok_or_else(|| format!("bad \\u escape at byte {}", *pos))?;
-                        let code = u32::from_str_radix(hex, 16)
-                            .map_err(|_| format!("bad \\u escape at byte {}", *pos))?;
-                        // Surrogate pairs are not emitted by our writer;
-                        // map lone surrogates to the replacement char.
-                        out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                        *pos += 4;
-                    }
-                    _ => return Err(format!("bad escape at byte {}", *pos)),
-                }
-                *pos += 1;
-            }
-            Some(_) => {
-                // Consume one UTF-8 scalar (input is a &str, so this is safe
-                // to do bytewise: copy continuation bytes with the lead).
-                let start = *pos;
-                *pos += 1;
-                while bytes.get(*pos).is_some_and(|&b| b & 0xc0 == 0x80) {
-                    *pos += 1;
-                }
-                if let Some(chunk) = bytes.get(start..*pos) {
-                    if let Ok(s) = std::str::from_utf8(chunk) {
-                        out.push_str(s);
-                    }
-                }
-            }
+    /// The first key of an object [`Scanner::value`] just opened, with
+    /// its `:` consumed; `None` for `{}`.
+    pub fn first_key(&mut self) -> Result<Option<Cow<'a, str>>, String> {
+        self.skip_ws();
+        if self.peek() == Some(b'}') {
+            self.pos += 1;
+            return Ok(None);
         }
+        self.key().map(Some)
     }
-}
 
-fn parse_arr(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Value, String> {
-    *pos += 1; // consume '['
-    let mut items = Vec::new();
-    skip_ws(bytes, pos);
-    if bytes.get(*pos) == Some(&b']') {
-        *pos += 1;
-        return Ok(Value::Arr(items));
-    }
-    loop {
-        items.push(parse_value(bytes, pos, depth + 1)?);
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
+    /// After a member's value: the next key, with its `:` consumed, or
+    /// `None` once the closing `}` is consumed.
+    pub fn next_key(&mut self) -> Result<Option<Cow<'a, str>>, String> {
+        self.skip_ws();
+        match self.peek() {
             Some(b',') => {
-                *pos += 1;
-            }
-            Some(b']') => {
-                *pos += 1;
-                return Ok(Value::Arr(items));
-            }
-            _ => return Err(format!("expected ',' or ']' at byte {}", *pos)),
-        }
-    }
-}
-
-fn parse_obj(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Value, String> {
-    *pos += 1; // consume '{'
-    let mut members = Vec::new();
-    skip_ws(bytes, pos);
-    if bytes.get(*pos) == Some(&b'}') {
-        *pos += 1;
-        return Ok(Value::Obj(members));
-    }
-    loop {
-        skip_ws(bytes, pos);
-        if bytes.get(*pos) != Some(&b'"') {
-            return Err(format!("expected object key at byte {}", *pos));
-        }
-        let key = parse_str(bytes, pos)?;
-        skip_ws(bytes, pos);
-        if bytes.get(*pos) != Some(&b':') {
-            return Err(format!("expected ':' at byte {}", *pos));
-        }
-        *pos += 1;
-        let value = parse_value(bytes, pos, depth + 1)?;
-        members.push((key, value));
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            Some(b',') => {
-                *pos += 1;
+                self.pos += 1;
+                self.key().map(Some)
             }
             Some(b'}') => {
-                *pos += 1;
-                return Ok(Value::Obj(members));
+                self.pos += 1;
+                Ok(None)
             }
-            _ => return Err(format!("expected ',' or '}}' at byte {}", *pos)),
+            _ => Err(format!("expected ',' or '}}' at byte {}", self.pos)),
+        }
+    }
+
+    fn key(&mut self) -> Result<Cow<'a, str>, String> {
+        self.skip_ws();
+        if self.peek() != Some(b'"') {
+            return Err(format!("expected object key at byte {}", self.pos));
+        }
+        let key = self.string()?;
+        self.skip_ws();
+        if self.peek() != Some(b':') {
+            return Err(format!("expected ':' at byte {}", self.pos));
+        }
+        self.pos += 1;
+        Ok(key)
+    }
+
+    /// `true` when an array [`Scanner::value`] just opened has a first
+    /// item; consumes the `]` of `[]`.
+    pub fn first_item(&mut self) -> bool {
+        self.skip_ws();
+        if self.peek() == Some(b']') {
+            self.pos += 1;
+            return false;
+        }
+        true
+    }
+
+    /// After an item: `true` when another follows, `false` once the
+    /// closing `]` is consumed.
+    pub fn next_item(&mut self) -> Result<bool, String> {
+        self.skip_ws();
+        match self.peek() {
+            Some(b',') => {
+                self.pos += 1;
+                Ok(true)
+            }
+            Some(b']') => {
+                self.pos += 1;
+                Ok(false)
+            }
+            _ => Err(format!("expected ',' or ']' at byte {}", self.pos)),
+        }
+    }
+
+    /// Consumes the rest of the value whose start `token` is — every
+    /// member of an object, every item of an array — with the checks
+    /// [`parse`] makes, building nothing.
+    pub fn finish_value(&mut self, token: &Token<'a>, depth: usize) -> Result<(), String> {
+        match token {
+            Token::Object => {
+                let mut key = self.first_key()?;
+                while key.is_some() {
+                    self.skip(depth + 1)?;
+                    key = self.next_key()?;
+                }
+            }
+            Token::Array => {
+                let mut more = self.first_item();
+                while more {
+                    self.skip(depth + 1)?;
+                    more = self.next_item()?;
+                }
+            }
+            _ => {}
+        }
+        Ok(())
+    }
+
+    /// Consumes one whole value at nesting `depth`, building nothing.
+    pub fn skip(&mut self, depth: usize) -> Result<(), String> {
+        let token = self.value(depth)?;
+        self.finish_value(&token, depth)
+    }
+
+    /// Refuses anything but whitespace after the document.
+    pub fn finish(&mut self) -> Result<(), String> {
+        self.skip_ws();
+        if self.pos != self.text.len() {
+            return Err(format!("trailing garbage at byte {}", self.pos));
+        }
+        Ok(())
+    }
+
+    fn literal(&mut self, lit: &str, token: Token<'a>) -> Result<Token<'a>, String> {
+        if self.bytes().get(self.pos..self.pos + lit.len()) == Some(lit.as_bytes()) {
+            self.pos += lit.len();
+            Ok(token)
+        } else {
+            Err(format!("invalid literal at byte {}", self.pos))
+        }
+    }
+
+    fn number(&mut self) -> Result<f64, String> {
+        let start = self.pos;
+        while matches!(
+            self.peek(),
+            Some(b'-' | b'+' | b'.' | b'e' | b'E' | b'0'..=b'9')
+        ) {
+            self.pos += 1;
+        }
+        let text = self.text.get(start..self.pos).unwrap_or("");
+        text.parse::<f64>()
+            .map_err(|_| format!("invalid number {text:?} at byte {start}"))
+    }
+
+    fn string(&mut self) -> Result<Cow<'a, str>, String> {
+        // The caller saw the opening quote.
+        let start = self.pos + 1;
+        let bytes = self.bytes();
+        let run = bytes
+            .get(start..)
+            .and_then(|rest| rest.iter().position(|&b| b == b'"' || b == b'\\'))
+            .ok_or_else(|| "unterminated string".to_string())?;
+        let end = start + run;
+        // Quotes and backslashes are ASCII, so both ends are char
+        // boundaries.
+        let plain = self.text.get(start..end).unwrap_or("");
+        self.pos = end;
+        if bytes.get(end) == Some(&b'"') {
+            self.pos += 1;
+            return Ok(Cow::Borrowed(plain));
+        }
+        let mut out = plain.to_string();
+        loop {
+            match bytes.get(self.pos) {
+                None => return Err("unterminated string".to_string()),
+                Some(b'"') => {
+                    self.pos += 1;
+                    return Ok(Cow::Owned(out));
+                }
+                Some(b'\\') => {
+                    self.pos += 1;
+                    match bytes.get(self.pos) {
+                        Some(b'"') => out.push('"'),
+                        Some(b'\\') => out.push('\\'),
+                        Some(b'/') => out.push('/'),
+                        Some(b'n') => out.push('\n'),
+                        Some(b'r') => out.push('\r'),
+                        Some(b't') => out.push('\t'),
+                        Some(b'b') => out.push('\u{0008}'),
+                        Some(b'f') => out.push('\u{000c}'),
+                        Some(b'u') => {
+                            let hex = bytes
+                                .get(self.pos + 1..self.pos + 5)
+                                .and_then(|h| std::str::from_utf8(h).ok())
+                                .ok_or_else(|| format!("bad \\u escape at byte {}", self.pos))?;
+                            let code = u32::from_str_radix(hex, 16)
+                                .map_err(|_| format!("bad \\u escape at byte {}", self.pos))?;
+                            // Surrogate pairs are not emitted by our writer;
+                            // map lone surrogates to the replacement char.
+                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
+                            self.pos += 4;
+                        }
+                        _ => return Err(format!("bad escape at byte {}", self.pos)),
+                    }
+                    self.pos += 1;
+                }
+                Some(_) => {
+                    // Copy the run up to the next quote or backslash; the
+                    // input is a &str, so the run is whole UTF-8 scalars.
+                    let run_end = bytes
+                        .get(self.pos..)
+                        .and_then(|rest| rest.iter().position(|&b| b == b'"' || b == b'\\'))
+                        .map_or(bytes.len(), |n| self.pos + n);
+                    out.push_str(self.text.get(self.pos..run_end).unwrap_or(""));
+                    self.pos = run_end;
+                }
+            }
         }
     }
 }
@@ -439,6 +596,45 @@ mod tests {
         for bad in ["", "{", "[1,", "{\"a\" 1}", "tru", "\"open", "01x", "{}}"] {
             assert!(parse(bad).is_err(), "{bad:?} should fail");
         }
+    }
+
+    #[test]
+    fn scanner_skip_accepts_and_refuses_what_parse_does() {
+        let nested = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        let texts = [
+            "{\"a\": [1, {\"b\": null}], \"c\": \"\\u00e9\"}".to_string(),
+            "[1, 2,]".to_string(),
+            "{\"a\" 1}".to_string(),
+            "\"\\q\"".to_string(),
+            "1e".to_string(),
+            "[] x".to_string(),
+            nested(MAX_DEPTH + 1),
+            nested(MAX_DEPTH + 2),
+        ];
+        for text in &texts {
+            let mut scanner = Scanner::new(text);
+            let skipped = scanner.skip(0).and_then(|()| scanner.finish());
+            assert_eq!(skipped.err(), parse(text).err(), "{text}");
+        }
+        assert!(parse(&nested(MAX_DEPTH + 1)).is_ok());
+    }
+
+    #[test]
+    fn scanner_borrows_strings_without_escapes() {
+        let mut scanner = Scanner::new("[\"plain\", \"esc\\taped\"]");
+        assert_eq!(scanner.value(0), Ok(Token::Array));
+        assert!(scanner.first_item());
+        assert!(matches!(
+            scanner.value(1),
+            Ok(Token::Str(Cow::Borrowed("plain")))
+        ));
+        assert_eq!(scanner.next_item(), Ok(true));
+        match scanner.value(1) {
+            Ok(Token::Str(Cow::Owned(text))) => assert_eq!(text, "esc\taped"),
+            other => panic!("expected an owned string, got {other:?}"),
+        }
+        assert_eq!(scanner.next_item(), Ok(false));
+        assert_eq!(scanner.finish(), Ok(()));
     }
 
     #[test]
