@@ -10,12 +10,12 @@
 //!   4-accumulator kernels whose reduction tree is what makes sweep
 //!   results bit-identical across thread counts.
 //! * **`alloc-in-kernel`** — `fairprep_ml::kernels` and functions marked
-//!   `// audit: hot-path` (the chunked-ingest inner loops and the
-//!   telemetry record functions) are the allocation- and lock-free core
-//!   measured in `results/BENCH_kernels.json` and
-//!   `results/BENCH_telemetry.json`; `Vec::new`, `.to_vec()`,
-//!   `.collect()`, `format!`, `vec!`, `Box::new`, and `.lock()` there
-//!   would silently regress those wins.
+//!   `// audit: hot-path` (the frame builder's row push, the profile's
+//!   quantile and the telemetry record functions) are the allocation-
+//!   and lock-free core measured by `results/BENCH_kernels.json`,
+//!   `results/BENCH_telemetry.json` and perfbench's `data.ingest`;
+//!   `Vec::new`, `.to_vec()`, `.collect()`, `format!`, `vec!`,
+//!   `Box::new`, and `.lock()` there would silently regress those wins.
 
 use crate::lexer::TokenKind;
 use crate::lints::{Diagnostic, FileAnalysis};
@@ -450,14 +450,14 @@ mod tests {
     #[test]
     fn hot_path_marker_opts_in_and_absence_opts_out() {
         let marked = "// audit: hot-path\nfn inner(a: &[u8]) { let v = a.to_vec(); drop(v); }";
-        let diags = check_src("crates/data/src/chunked.rs", marked);
+        let diags = check_src("crates/data/src/csv.rs", marked);
         assert_eq!(
             diags.iter().filter(|d| d.lint == "alloc-in-kernel").count(),
             1,
             "{diags:?}"
         );
         let unmarked = "fn inner(a: &[u8]) { let v = a.to_vec(); drop(v); }";
-        assert!(check_src("crates/data/src/chunked.rs", unmarked).is_empty());
+        assert!(check_src("crates/data/src/csv.rs", unmarked).is_empty());
     }
 
     /// The telemetry extension: locking and the remaining allocation

@@ -378,9 +378,9 @@ mod tests {
 
     #[test]
     fn trait_impl_type_is_the_self_type() {
-        let src = "impl ChunkSink for Tee<'_, A, B> { fn chunk(&mut self) {} }\nimpl<T: Ord> Wrapper<T> { fn get(&self) {} }";
+        let src = "impl Sink for Pair<'_, A, B> { fn chunk(&mut self) {} }\nimpl<T: Ord> Wrapper<T> { fn get(&self) {} }";
         let fns = fns_of(src);
-        assert_eq!(fns[0].impl_type.as_deref(), Some("Tee"));
+        assert_eq!(fns[0].impl_type.as_deref(), Some("Pair"));
         assert_eq!(fns[1].impl_type.as_deref(), Some("Wrapper"));
     }
 

@@ -8,6 +8,7 @@
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 
+pub mod check;
 pub mod plot;
 pub mod profile_report;
 pub mod trace_report;

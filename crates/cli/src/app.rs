@@ -38,8 +38,7 @@ USAGE:
   fairprep generate --dataset <name> --rows N [--seed S] [--out PATH]
                                               materialize a synthetic dataset as
                                               CSV (PATH, or stdout when omitted);
-                                              scales to 10M+ rows for out-of-core
-                                              ingest experiments
+                                              scales to 10M+ rows
   fairprep serve --registry DIR [--port P] [--threads N]
                  [--access-log PATH [--sample-rate R]]
                  [--alerts SPECS.json] [--webhook URL]
@@ -636,8 +635,8 @@ fn cmd_audit(inv: &Invocation) -> Result<(), String> {
 }
 
 /// `fairprep generate` — materializes a synthetic dataset as CSV, scaled
-/// to `--rows` (0 = the documented full size). Feeds out-of-core ingest
-/// experiments without shipping multi-hundred-MB fixtures.
+/// to `--rows` (0 = the documented full size), so `run --csv` can read
+/// large inputs without shipping multi-hundred-MB fixtures.
 fn cmd_generate(inv: &Invocation) -> Result<(), String> {
     let name = inv.require("dataset")?;
     let rows = inv.parse_or::<usize>("rows", 0)?;

@@ -130,25 +130,6 @@ impl CategoricalData {
         self.codes.push(code);
     }
 
-    /// Appends a (possibly missing) pre-interned code. The code must
-    /// already be valid for this dictionary; out-of-range codes are
-    /// rejected so the payload can never hold a dangling code.
-    pub fn push_code(&mut self, code: Option<u32>) -> Result<()> {
-        if let Some(c) = code {
-            if c as usize >= self.categories.len() {
-                return Err(Error::InvalidParameter {
-                    name: "code",
-                    message: format!(
-                        "code {c} out of range for {} categories",
-                        self.categories.len()
-                    ),
-                });
-            }
-        }
-        self.codes.push(code);
-        Ok(())
-    }
-
     /// Returns the code for `category` if it has been interned.
     #[must_use]
     pub fn code_of(&self, category: &str) -> Option<u32> {
@@ -351,38 +332,6 @@ impl Column {
                 }
                 Column::Categorical(out)
             }
-        }
-    }
-
-    /// Appends all rows of `other` to `self` in order.
-    ///
-    /// For categorical columns, `other`'s **entire dictionary** is interned
-    /// into `self` (in `other`'s encounter order) before the codes are
-    /// remapped — even categories no surviving row references. This is the
-    /// invariant the chunked data path relies on: appending the chunks of a
-    /// row-ordered partitioning reproduces the global first-encounter
-    /// dictionary of a single-pass read, so chunked assembly is
-    /// bit-identical (`PartialEq` compares codes *and* dictionaries).
-    pub fn append(&mut self, other: &Column) -> Result<()> {
-        match (self, other) {
-            (Column::Numeric(a), Column::Numeric(b)) => {
-                a.extend_from_slice(b);
-                Ok(())
-            }
-            (Column::Categorical(a), Column::Categorical(b)) => {
-                let remap: Vec<u32> = b.categories().iter().map(|c| a.intern(c)).collect();
-                a.codes
-                    .extend(b.codes().iter().map(|code| code.map(|c| remap[c as usize])));
-                Ok(())
-            }
-            (a, _) => Err(Error::ColumnTypeMismatch {
-                column: String::new(),
-                expected: if a.kind() == ColumnKind::Numeric {
-                    "numeric"
-                } else {
-                    "categorical"
-                },
-            }),
         }
     }
 

@@ -7,7 +7,7 @@
 
 use std::io::{BufRead, Write};
 
-use crate::column::{ColumnKind, OwnedValue, Value};
+use crate::column::{Column, ColumnKind, OwnedValue};
 use crate::error::{Error, Result};
 use crate::frame::{DataFrame, FrameBuilder};
 
@@ -74,132 +74,81 @@ fn parse_record(line: &str, line_no: usize) -> Result<Vec<String>> {
     Ok(fields)
 }
 
-/// A header-resolved, typed CSV record stream — the shared core of the
-/// in-memory [`read_csv`] and the chunked
-/// [`read_csv_chunked`](crate::chunked::read_csv_chunked).
-///
-/// Both readers drive the *same* record splitter, header resolution,
-/// missing-token matching, and cell typing through this type, which is what
-/// makes chunked ingest bit-identical to a single-pass read by
-/// construction: the only difference between the two paths is how the typed
-/// rows are batched afterwards.
-pub struct TypedCsvReader<R: BufRead> {
-    lines: std::iter::Enumerate<std::io::Lines<R>>,
-    header_len: usize,
-    positions: Vec<(usize, String, ColumnKind)>,
-    missing_tokens: Vec<String>,
-}
-
-impl<R: BufRead> TypedCsvReader<R> {
-    /// Parses the header record and resolves the requested columns.
-    ///
-    /// The first record must be a header; `kinds` maps each header name to
-    /// the column type to ingest. Header columns absent from `kinds` are
-    /// skipped. Cells matching one of `missing_tokens` (compared after
-    /// trimming surrounding whitespace) become missing values.
-    pub fn new(reader: R, kinds: &[(&str, ColumnKind)], missing_tokens: &[&str]) -> Result<Self> {
-        let mut lines = reader.lines().enumerate();
-        let header = match lines.next() {
-            Some((_, line)) => parse_record(&line?, 1)?,
-            None => {
-                return Err(Error::Csv {
-                    line: 1,
-                    message: "empty input".to_string(),
-                })
-            }
-        };
-        let mut positions = Vec::with_capacity(kinds.len());
-        for (name, kind) in kinds {
-            let pos = header
-                .iter()
-                .position(|h| h.trim() == *name)
-                .ok_or_else(|| Error::ColumnNotFound((*name).to_string()))?;
-            positions.push((pos, (*name).to_string(), *kind));
-        }
-        Ok(TypedCsvReader {
-            lines,
-            header_len: header.len(),
-            positions,
-            missing_tokens: missing_tokens.iter().map(|t| (*t).to_string()).collect(),
-        })
-    }
-
-    /// The resolved output columns as a [`FrameBuilder`]/chunk spec, in
-    /// request order.
-    #[must_use]
-    pub fn spec(&self) -> Vec<(String, ColumnKind)> {
-        self.positions
-            .iter()
-            .map(|(_, n, k)| (n.clone(), *k))
-            .collect()
-    }
-
-    /// Reads the next data record as typed cells in request-column order.
-    /// Blank lines are skipped; `None` signals end of input.
-    #[allow(clippy::should_implement_trait)]
-    pub fn next_row(&mut self) -> Option<Result<Vec<OwnedValue>>> {
-        for (idx, line) in self.lines.by_ref() {
-            let line_no = idx + 1;
-            let line = match line {
-                Ok(line) => line,
-                Err(e) => return Some(Err(e.into())),
-            };
-            if line.trim().is_empty() {
-                continue;
-            }
-            return Some(self.typed_row(&line, line_no));
-        }
-        None
-    }
-
-    fn typed_row(&self, line: &str, line_no: usize) -> Result<Vec<OwnedValue>> {
-        let record = parse_record(line, line_no)?;
-        if record.len() != self.header_len {
-            return Err(Error::Csv {
-                line: line_no,
-                message: format!("expected {} fields, got {}", self.header_len, record.len()),
-            });
-        }
-        let mut row = Vec::with_capacity(self.positions.len());
-        for (pos, name, kind) in &self.positions {
-            let raw = record[*pos].trim();
-            if self.missing_tokens.iter().any(|t| t == raw) {
-                row.push(OwnedValue::Missing);
-                continue;
-            }
-            match kind {
-                ColumnKind::Numeric => {
-                    let v: f64 = raw.parse().map_err(|_| Error::Csv {
-                        line: line_no,
-                        message: format!("column {name}: `{raw}` is not numeric"),
-                    })?;
-                    row.push(OwnedValue::Numeric(v));
-                }
-                ColumnKind::Categorical => row.push(OwnedValue::Categorical(raw.to_string())),
-            }
-        }
-        Ok(row)
-    }
-}
-
 /// Reads a typed frame from CSV text.
 ///
 /// The first record must be a header; `kinds` maps each header name to the
 /// column type to ingest. Header columns absent from `kinds` are skipped.
-/// Cells matching one of `missing_tokens` become missing values.
+/// Cells matching one of `missing_tokens` (compared after trimming
+/// surrounding whitespace) become missing values. Blank lines are skipped.
 pub fn read_csv<R: BufRead>(
     reader: R,
     kinds: &[(&str, ColumnKind)],
     missing_tokens: &[&str],
 ) -> Result<DataFrame> {
-    let mut records = TypedCsvReader::new(reader, kinds, missing_tokens)?;
-    let spec = records.spec();
-    let spec_refs: Vec<(&str, ColumnKind)> = spec.iter().map(|(n, k)| (n.as_str(), *k)).collect();
-    let mut builder = FrameBuilder::new(&spec_refs);
-    while let Some(row) = records.next_row() {
-        builder.push_row(row?)?;
+    let mut lines = reader.lines().enumerate();
+    let header = match lines.next() {
+        Some((_, line)) => parse_record(&line?, 1)?,
+        None => {
+            return Err(Error::Csv {
+                line: 1,
+                message: "empty input".to_string(),
+            })
+        }
+    };
+    let mut positions = Vec::with_capacity(kinds.len());
+    for (name, kind) in kinds {
+        let pos = header
+            .iter()
+            .position(|h| h.trim() == *name)
+            .ok_or_else(|| Error::ColumnNotFound((*name).to_string()))?;
+        positions.push((pos, *name, *kind));
+    }
+    let mut builder = FrameBuilder::new(kinds);
+    for (idx, line) in lines {
+        let line = line?;
+        if line.trim().is_empty() {
+            continue;
+        }
+        let row = typed_row(&line, idx + 1, header.len(), &positions, missing_tokens)?;
+        builder.push_row(row)?;
     }
     builder.finish()
+}
+
+/// Parses one data record into typed cells in request-column order.
+fn typed_row(
+    line: &str,
+    line_no: usize,
+    header_len: usize,
+    positions: &[(usize, &str, ColumnKind)],
+    missing_tokens: &[&str],
+) -> Result<Vec<OwnedValue>> {
+    let record = parse_record(line, line_no)?;
+    if record.len() != header_len {
+        return Err(Error::Csv {
+            line: line_no,
+            message: format!("expected {header_len} fields, got {}", record.len()),
+        });
+    }
+    let mut row = Vec::with_capacity(positions.len());
+    for (pos, name, kind) in positions {
+        let raw = record[*pos].trim();
+        if missing_tokens.contains(&raw) {
+            row.push(OwnedValue::Missing);
+            continue;
+        }
+        match kind {
+            ColumnKind::Numeric => {
+                let v: f64 = raw.parse().map_err(|_| Error::Csv {
+                    line: line_no,
+                    message: format!("column {name}: `{raw}` is not numeric"),
+                })?;
+                row.push(OwnedValue::Numeric(v));
+            }
+            ColumnKind::Categorical => row.push(OwnedValue::Categorical(raw.to_string())),
+        }
+    }
+    Ok(row)
 }
 
 fn escape(field: &str) -> String {
@@ -210,23 +159,76 @@ fn escape(field: &str) -> String {
     }
 }
 
+/// Why [`read_csv`] would not return `category` as written, or `None` when
+/// it would: the reader splits records at line breaks before it parses
+/// quotes, trims every cell, and reads [`DEFAULT_MISSING_TOKENS`] as
+/// missing.
+fn unreadable(category: &str) -> Option<&'static str> {
+    if category.contains(['\n', '\r']) {
+        Some("contains a line break")
+    } else if category.trim() != category {
+        Some("has surrounding whitespace")
+    } else if DEFAULT_MISSING_TOKENS.contains(&category) {
+        Some("is a missing-value token")
+    } else {
+        None
+    }
+}
+
 /// Writes a frame as CSV (header + records). Missing cells become empty
 /// fields.
+///
+/// A categorical cell that [`read_csv`] would not read back unchanged (see
+/// [`DEFAULT_MISSING_TOKENS`]) is refused with an [`Error::Csv`] naming its
+/// column and the line it would occupy; the records before that line have
+/// already been written.
 pub fn write_csv<W: Write>(frame: &DataFrame, writer: &mut W) -> Result<()> {
     let header: Vec<String> = frame.column_names().iter().map(|n| escape(n)).collect();
     writeln!(writer, "{}", header.join(","))?;
+    // Each dictionary entry is escaped or refused once; a cell only indexes
+    // that decision, so an entry no row references never fails the write.
+    let mut columns = Vec::with_capacity(frame.n_cols());
+    for name in frame.column_names() {
+        let column = frame.column(name)?;
+        let entries: Vec<std::result::Result<String, &str>> = match column {
+            Column::Numeric(_) => Vec::new(),
+            Column::Categorical(cat) => cat
+                .categories()
+                .iter()
+                .map(|c| unreadable(c).map_or_else(|| Ok(escape(c)), Err))
+                .collect(),
+        };
+        columns.push((name, column, entries));
+    }
     let mut record = String::new();
     for i in 0..frame.n_rows() {
         record.clear();
-        for (j, name) in frame.column_names().iter().enumerate() {
+        for (j, (name, column, entries)) in columns.iter().enumerate() {
             if j > 0 {
                 record.push(',');
             }
-            // audit: allow(expect, reason = "iterating the frame's own column names, so every lookup succeeds")
-            match frame.column(name).expect("column exists").get(i) {
-                Value::Numeric(v) => record.push_str(&format_float(v)),
-                Value::Categorical(s) => record.push_str(&escape(s)),
-                Value::Missing => {}
+            match column {
+                Column::Numeric(values) => {
+                    if let Some(v) = values[i] {
+                        record.push_str(&format_float(v));
+                    }
+                }
+                Column::Categorical(cat) => {
+                    if let Some(code) = cat.codes()[i] {
+                        match &entries[code as usize] {
+                            Ok(text) => record.push_str(text),
+                            Err(why) => {
+                                return Err(Error::Csv {
+                                    line: i + 2,
+                                    message: format!(
+                                    "column {name}: category {:?} {why}, so it would not read back",
+                                    cat.categories()[code as usize]
+                                ),
+                                })
+                            }
+                        }
+                    }
+                }
             }
         }
         writeln!(writer, "{record}")?;
@@ -245,6 +247,7 @@ fn format_float(v: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::column::Value;
     use std::io::Cursor;
 
     const SAMPLE: &str = "age,job,income\n25,clerk,low\n?,\"cook, senior\",high\n40,,low\n";
@@ -385,6 +388,40 @@ mod tests {
         )
         .unwrap();
         assert_eq!(df.value(0, "income").unwrap(), Value::Categorical("high"));
+    }
+
+    /// Each category `read_csv` would split, trim or read as missing is
+    /// refused, naming its column and the line it would occupy.
+    #[test]
+    fn write_refuses_categories_that_would_not_read_back() {
+        for bad in ["a\nb", "a\r", " a ", "NA", "?", ""] {
+            let df = DataFrame::new()
+                .with_column("n", Column::from_f64([1.0, 2.0]))
+                .unwrap()
+                .with_column("job", Column::from_strs(["clerk", bad]))
+                .unwrap();
+            let mut out = Vec::new();
+            match write_csv(&df, &mut out).unwrap_err() {
+                Error::Csv { line, message } => {
+                    assert_eq!(line, 3, "{bad:?}");
+                    assert!(message.starts_with("column job: "), "{message}");
+                }
+                other => panic!("unexpected error {other:?}"),
+            }
+        }
+    }
+
+    /// A dictionary entry no row references is never written, so it
+    /// cannot fail the write.
+    #[test]
+    fn unreferenced_dictionary_entry_does_not_fail_the_write() {
+        let df = DataFrame::new()
+            .with_column("job", Column::from_strs(["clerk", "NA", "a\nb"]))
+            .unwrap()
+            .take(&[0]);
+        let mut out = Vec::new();
+        write_csv(&df, &mut out).unwrap();
+        assert_eq!(out, b"job\nclerk\n");
     }
 
     #[test]

@@ -46,11 +46,29 @@ impl BinaryLabelDataset {
 
         let mut labels = Vec::with_capacity(n);
         for i in 0..n {
-            labels.push(binarize_label(label_col.get(i), favorable_label, i)?);
+            match label_col.get(i) {
+                Value::Categorical(s) => labels.push(f64::from(u8::from(s == favorable_label))),
+                Value::Numeric(v) => {
+                    // audit: allow(float-eq, reason = "accepts only the exact encodings 0.0/1.0; anything else is rejected as an invalid label")
+                    if v == 0.0 || v == 1.0 {
+                        labels.push(v);
+                    } else {
+                        return Err(Error::InvalidLabel(v));
+                    }
+                }
+                Value::Missing => {
+                    return Err(Error::EmptyData(format!("label missing at row {i}")))
+                }
+            }
         }
 
         let privileged_mask = compute_privileged_mask(&frame, &protected)?;
-        validate_group_presence(&privileged_mask)?;
+        if !privileged_mask.iter().any(|&p| p) {
+            return Err(Error::EmptyGroup { privileged: true });
+        }
+        if privileged_mask.iter().all(|&p| p) {
+            return Err(Error::EmptyGroup { privileged: false });
+        }
 
         Ok(BinaryLabelDataset {
             frame,
@@ -112,37 +130,6 @@ impl BinaryLabelDataset {
             privileged_mask,
             instance_weights: vec![1.0; n],
         })
-    }
-
-    /// Assembles a dataset from parts that have already been validated
-    /// against the full stream they were gathered from.
-    ///
-    /// Used by the chunked split, which computes labels and masks chunk
-    /// at a time (with the same per-cell checks as [`new`]) and validates
-    /// group presence once over the whole stream — partitions themselves
-    /// are *not* re-validated, exactly like [`take`] on a materialized
-    /// dataset, where a single-group partition is legal.
-    ///
-    /// [`new`]: BinaryLabelDataset::new
-    /// [`take`]: BinaryLabelDataset::take
-    pub(crate) fn from_validated_parts(
-        frame: DataFrame,
-        schema: Schema,
-        protected: ProtectedAttribute,
-        favorable_label: &str,
-        labels: Vec<f64>,
-        privileged_mask: Vec<bool>,
-    ) -> BinaryLabelDataset {
-        let n = frame.n_rows();
-        BinaryLabelDataset {
-            frame,
-            schema,
-            protected,
-            favorable_label: favorable_label.to_string(),
-            labels,
-            privileged_mask,
-            instance_weights: vec![1.0; n],
-        }
     }
 
     /// Number of instances.
@@ -373,65 +360,28 @@ impl BinaryLabelDataset {
     }
 }
 
-/// Binarizes one label cell: category equality against `favorable_label`,
-/// or a numeric cell that must already be the exact `0.0`/`1.0` encoding.
-/// `row` is only used in error messages — pass the global row index when
-/// validating a chunked stream so diagnostics match the materialized path.
-pub(crate) fn binarize_label(value: Value<'_>, favorable_label: &str, row: usize) -> Result<f64> {
-    match value {
-        Value::Categorical(s) => Ok(f64::from(u8::from(s == favorable_label))),
-        Value::Numeric(v) => {
-            // audit: allow(float-eq, reason = "accepts only the exact encodings 0.0/1.0; anything else is rejected as an invalid label")
-            if v == 0.0 || v == 1.0 {
-                Ok(v)
-            } else {
-                Err(Error::InvalidLabel(v))
-            }
-        }
-        Value::Missing => Err(Error::EmptyData(format!("label missing at row {row}"))),
-    }
-}
-
-/// Evaluates the protected-group spec against one cell. Missing protected
-/// attributes and kind mismatches are rejected, exactly as in
-/// [`BinaryLabelDataset::new`].
-pub(crate) fn row_privileged(
-    protected: &ProtectedAttribute,
-    value: Value<'_>,
-    row: usize,
-) -> Result<bool> {
-    match (&protected.privileged, value) {
-        (GroupSpec::CategoryIn(values), Value::Categorical(s)) => Ok(values.iter().any(|v| v == s)),
-        (GroupSpec::NumericAtLeast(t), Value::Numeric(v)) => Ok(v >= *t),
-        (_, Value::Missing) => Err(Error::EmptyData(format!(
-            "protected attribute {} missing at row {row}",
-            protected.name
-        ))),
-        _ => Err(Error::ColumnTypeMismatch {
-            column: protected.name.clone(),
-            expected: "kind matching the group spec",
-        }),
-    }
-}
-
-/// Rejects masks where either group is absent — a fairness experiment
-/// needs both populations.
-pub(crate) fn validate_group_presence(mask: &[bool]) -> Result<()> {
-    if !mask.iter().any(|&p| p) {
-        return Err(Error::EmptyGroup { privileged: true });
-    }
-    if mask.iter().all(|&p| p) {
-        return Err(Error::EmptyGroup { privileged: false });
-    }
-    Ok(())
-}
-
 fn compute_privileged_mask(frame: &DataFrame, protected: &ProtectedAttribute) -> Result<Vec<bool>> {
     let col = frame.column(&protected.name)?;
     let n = frame.n_rows();
     let mut mask = Vec::with_capacity(n);
     for i in 0..n {
-        mask.push(row_privileged(protected, col.get(i), i)?);
+        let privileged = match (&protected.privileged, col.get(i)) {
+            (GroupSpec::CategoryIn(values), Value::Categorical(s)) => values.iter().any(|v| v == s),
+            (GroupSpec::NumericAtLeast(t), Value::Numeric(v)) => v >= *t,
+            (_, Value::Missing) => {
+                return Err(Error::EmptyData(format!(
+                    "protected attribute {} missing at row {i}",
+                    protected.name
+                )))
+            }
+            _ => {
+                return Err(Error::ColumnTypeMismatch {
+                    column: protected.name.clone(),
+                    expected: "kind matching the group spec",
+                })
+            }
+        };
+        mask.push(privileged);
     }
     Ok(mask)
 }

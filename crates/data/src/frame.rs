@@ -199,42 +199,6 @@ impl DataFrame {
         self.columns.iter().map(Column::missing_count).sum()
     }
 
-    /// Appends all rows of `other` in place (columns matched by position;
-    /// names and kinds must agree).
-    ///
-    /// Unlike [`DataFrame::concat`] this neither clones `self`'s columns
-    /// nor round-trips cells through [`OwnedValue`], so assembling a frame
-    /// from a sequence of chunks is linear in the total row count.
-    /// Categorical dictionaries are merged in encounter order (see
-    /// [`Column::append`]), which keeps chunked assembly bit-identical to
-    /// a single-pass build. Provenance merges like [`DataFrame::concat`].
-    pub fn append(&mut self, other: &DataFrame) -> Result<()> {
-        if self.names != other.names {
-            return Err(Error::InvalidParameter {
-                name: "append",
-                message: "column names differ".to_string(),
-            });
-        }
-        for (name, (a, b)) in self
-            .names
-            .iter()
-            .zip(self.columns.iter().zip(&other.columns))
-        {
-            if a.kind() != b.kind() {
-                return Err(Error::ColumnTypeMismatch {
-                    column: name.clone(),
-                    expected: "matching kind",
-                });
-            }
-        }
-        for (a, b) in self.columns.iter_mut().zip(&other.columns) {
-            // audit: allow(expect, reason = "kinds were verified for every column pair in the loop above")
-            a.append(b).expect("kinds verified above");
-        }
-        self.provenance = self.provenance.merged(other.provenance);
-        Ok(())
-    }
-
     /// Vertically concatenates two frames with identical column names/kinds.
     pub fn concat(&self, other: &DataFrame) -> Result<DataFrame> {
         if self.names != other.names {

@@ -43,7 +43,6 @@
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 
-pub mod chunked;
 pub mod column;
 pub mod csv;
 pub mod dataset;
@@ -60,9 +59,6 @@ pub mod stats;
 
 /// Convenient glob-import of the most used types.
 pub mod prelude {
-    pub use crate::chunked::{
-        read_csv_chunked, train_val_test_split_chunked, ChunkSink, ChunkStats, ChunkedFrame,
-    };
     pub use crate::column::{Column, ColumnKind, OwnedValue, Value};
     pub use crate::dataset::BinaryLabelDataset;
     pub use crate::error::{Error, Result};

@@ -16,13 +16,8 @@
 //! (see the `*_WARN_THRESHOLD` constants) are rendered as structured
 //! warnings for the run manifest.
 
-use std::collections::BTreeMap;
-
 use crate::column::Column;
 use crate::dataset::BinaryLabelDataset;
-use crate::error::{Error, Result};
-use crate::frame::DataFrame;
-use crate::schema::{ProtectedAttribute, Schema};
 
 /// PSI at or above this value is flagged as a drift warning. 0.2 is the
 /// conventional "significant population shift" cut-off.
@@ -240,8 +235,36 @@ fn profile_column(column: &Column) -> ColumnProfile {
     match column {
         Column::Numeric(values) => {
             let missing = values.iter().filter(|v| v.is_none()).count() as u64;
-            let xs: Vec<f64> = values.iter().flatten().copied().collect();
-            numeric_profile_from_values(xs, missing)
+            let mut xs: Vec<f64> = values.iter().flatten().copied().collect();
+            xs.sort_by(f64::total_cmp);
+            let count = xs.len() as u64;
+            if xs.is_empty() {
+                return ColumnProfile::Numeric {
+                    count,
+                    missing,
+                    mean: f64::NAN,
+                    std_dev: f64::NAN,
+                    min: f64::NAN,
+                    max: f64::NAN,
+                    quantiles: Vec::new(),
+                };
+            }
+            let n = xs.len() as f64;
+            let mean = xs.iter().sum::<f64>() / n;
+            let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n;
+            let quantiles = (0..QUANTILE_POINTS)
+                .map(|i| quantile_of_sorted(&xs, i as f64 / (QUANTILE_POINTS - 1) as f64))
+                .collect();
+            ColumnProfile::Numeric {
+                count,
+                missing,
+                mean,
+                std_dev: var.sqrt(),
+                // audit: allow(index-literal, reason = "guarded by the is_empty early return above")
+                min: xs[0],
+                max: *xs.last().unwrap_or(&f64::NAN),
+                quantiles,
+            }
         }
         Column::Categorical(cat) => {
             let mut missing = 0u64;
@@ -252,259 +275,23 @@ fn profile_column(column: &Column) -> ColumnProfile {
                     None => missing += 1,
                 }
             }
-            let observed: Vec<(String, u64)> = counts
+            let count: u64 = counts.iter().sum();
+            let cardinality = counts.iter().filter(|&&c| c > 0).count() as u64;
+            let mut top: Vec<(String, u64)> = counts
                 .iter()
                 .enumerate()
                 .filter(|(_, &c)| c > 0)
                 .map(|(code, &c)| (cat.categories()[code].clone(), c))
                 .collect();
-            categorical_profile_from_counts(observed, missing)
-        }
-    }
-}
-
-/// Finishes a numeric profile from the row-ordered non-missing values.
-///
-/// Shared by [`profile_column`] and [`ProfileSketch::finish`]: both paths
-/// run the *same* sort and the same reductions over the sorted values, so
-/// a profile computed from streamed chunks is bit-identical to one
-/// computed from the materialized column.
-fn numeric_profile_from_values(mut xs: Vec<f64>, missing: u64) -> ColumnProfile {
-    xs.sort_by(f64::total_cmp);
-    let count = xs.len() as u64;
-    if xs.is_empty() {
-        return ColumnProfile::Numeric {
-            count,
-            missing,
-            mean: f64::NAN,
-            std_dev: f64::NAN,
-            min: f64::NAN,
-            max: f64::NAN,
-            quantiles: Vec::new(),
-        };
-    }
-    let n = xs.len() as f64;
-    let mean = xs.iter().sum::<f64>() / n;
-    let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n;
-    let quantiles = (0..QUANTILE_POINTS)
-        .map(|i| quantile_of_sorted(&xs, i as f64 / (QUANTILE_POINTS - 1) as f64))
-        .collect();
-    ColumnProfile::Numeric {
-        count,
-        missing,
-        mean,
-        std_dev: var.sqrt(),
-        // audit: allow(index-literal, reason = "guarded by the is_empty early return above")
-        min: xs[0],
-        max: *xs.last().unwrap_or(&f64::NAN),
-        quantiles,
-    }
-}
-
-/// Finishes a categorical profile from observed `(category, count > 0)`
-/// pairs. The input order does not matter: the `(count desc, name asc)`
-/// comparator is a total order over distinct category names, so any
-/// permutation of the pairs sorts to the same `top` list.
-fn categorical_profile_from_counts(
-    mut observed: Vec<(String, u64)>,
-    missing: u64,
-) -> ColumnProfile {
-    let count: u64 = observed.iter().map(|(_, c)| c).sum();
-    let cardinality = observed.len() as u64;
-    observed.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-    observed.truncate(TOP_K);
-    ColumnProfile::Categorical {
-        count,
-        missing,
-        cardinality,
-        top: observed,
-    }
-}
-
-/// Per-column accumulator of a [`ProfileSketch`].
-#[derive(Debug, Clone)]
-enum ColumnSketch {
-    /// Retains the non-missing values in row order. This is deliberately
-    /// `O(rows)` memory: the profile's mean/std/quantiles are defined as
-    /// exact reductions over the *sorted* values, and no bounded-memory
-    /// sketch reproduces them bit-for-bit. Streaming ingest with bounded
-    /// memory is still available through sinks that don't profile (e.g.
-    /// [`ChunkStats`](crate::chunked::ChunkStats)).
-    Numeric { values: Vec<f64>, missing: u64 },
-    /// Category counts — genuinely bounded: `O(cardinality)`.
-    Categorical {
-        counts: BTreeMap<String, u64>,
-        missing: u64,
-    },
-}
-
-/// One-pass streaming profiler: feed it [`DataFrame`] chunks (e.g. as the
-/// sink of [`read_csv_chunked`](crate::chunked::read_csv_chunked)) and
-/// [`finish`](ProfileSketch::finish) into a [`DatasetProfile`] that is
-/// bit-identical to `DatasetProfile::compute` over the materialized
-/// dataset — without ever constructing that dataset.
-///
-/// The sketch replicates the label binarization and privileged-group rules
-/// of [`BinaryLabelDataset::new`], including their error cases (missing
-/// label/protected cells, non-binary numeric labels, kind mismatches). It
-/// does *not* enforce the both-groups-present invariant: a sketch is a
-/// description of the stream, not a dataset constructor.
-#[derive(Debug, Clone)]
-pub struct ProfileSketch {
-    label_name: String,
-    favorable_label: String,
-    protected: ProtectedAttribute,
-    rows: u64,
-    columns: Vec<(String, ColumnSketch)>,
-    started: bool,
-    table: GroupLabelTable,
-}
-
-impl ProfileSketch {
-    /// Creates a sketch for datasets described by `schema` and `protected`,
-    /// mirroring the [`BinaryLabelDataset::new`] signature.
-    pub fn new(
-        schema: &Schema,
-        protected: &ProtectedAttribute,
-        favorable_label: &str,
-    ) -> Result<ProfileSketch> {
-        schema.validate()?;
-        Ok(ProfileSketch {
-            label_name: schema.label_name()?.to_string(),
-            favorable_label: favorable_label.to_string(),
-            protected: protected.clone(),
-            rows: 0,
-            columns: Vec::new(),
-            started: false,
-            table: GroupLabelTable {
-                privileged_favorable: 0,
-                privileged_unfavorable: 0,
-                unprivileged_favorable: 0,
-                unprivileged_unfavorable: 0,
-            },
-        })
-    }
-
-    /// Folds one chunk into the sketch. Chunks must arrive in row order
-    /// and share the column layout of the first chunk.
-    pub fn update(&mut self, chunk: &DataFrame) -> Result<()> {
-        if !self.started {
-            self.columns = chunk
-                .column_names()
-                .iter()
-                .map(|name| -> Result<(String, ColumnSketch)> {
-                    let sketch = match chunk.column(name)? {
-                        Column::Numeric(_) => ColumnSketch::Numeric {
-                            values: Vec::new(),
-                            missing: 0,
-                        },
-                        Column::Categorical(_) => ColumnSketch::Categorical {
-                            counts: BTreeMap::new(),
-                            missing: 0,
-                        },
-                    };
-                    Ok((name.clone(), sketch))
-                })
-                .collect::<Result<_>>()?;
-            self.started = true;
-        }
-        for (name, sketch) in &mut self.columns {
-            let col = chunk.column(name)?;
-            match (sketch, col) {
-                (ColumnSketch::Numeric { values, missing }, Column::Numeric(xs)) => {
-                    for v in xs {
-                        match v {
-                            Some(x) => values.push(*x),
-                            None => *missing += 1,
-                        }
-                    }
-                }
-                (ColumnSketch::Categorical { counts, missing }, Column::Categorical(cat)) => {
-                    for code in cat.codes() {
-                        match code {
-                            Some(c) => {
-                                let category =
-                                    cat.category_of(*c).ok_or_else(|| Error::InvalidParameter {
-                                        name: "code",
-                                        message: format!("dangling categorical code {c}"),
-                                    })?;
-                                *counts.entry(category.to_string()).or_insert(0) += 1;
-                            }
-                            None => *missing += 1,
-                        }
-                    }
-                }
-                _ => {
-                    return Err(Error::ColumnTypeMismatch {
-                        column: name.clone(),
-                        expected: "kind matching the first chunk",
-                    })
-                }
+            top.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
+            top.truncate(TOP_K);
+            ColumnProfile::Categorical {
+                count,
+                missing,
+                cardinality,
+                top,
             }
         }
-        self.update_group_label(chunk)?;
-        self.rows += chunk.n_rows() as u64;
-        Ok(())
-    }
-
-    /// Accumulates the protected-group × label table, replicating the
-    /// binarization rules of [`BinaryLabelDataset::new`] cell for cell.
-    fn update_group_label(&mut self, chunk: &DataFrame) -> Result<()> {
-        let label_col = chunk.column(&self.label_name)?;
-        let protected_col = chunk.column(&self.protected.name)?;
-        for i in 0..chunk.n_rows() {
-            #[allow(clippy::cast_possible_truncation)]
-            let row = self.rows as usize + i;
-            let favorable =
-                crate::dataset::binarize_label(label_col.get(i), &self.favorable_label, row)?
-                    >= 0.5;
-            let privileged =
-                crate::dataset::row_privileged(&self.protected, protected_col.get(i), row)?;
-            match (privileged, favorable) {
-                (true, true) => self.table.privileged_favorable += 1,
-                (true, false) => self.table.privileged_unfavorable += 1,
-                (false, true) => self.table.unprivileged_favorable += 1,
-                (false, false) => self.table.unprivileged_unfavorable += 1,
-            }
-        }
-        Ok(())
-    }
-
-    /// Rows folded in so far.
-    #[must_use]
-    pub fn rows(&self) -> u64 {
-        self.rows
-    }
-
-    /// Finishes the sketch into a [`DatasetProfile`].
-    #[must_use]
-    pub fn finish(self) -> DatasetProfile {
-        let columns = self
-            .columns
-            .into_iter()
-            .map(|(name, sketch)| {
-                let profile = match sketch {
-                    ColumnSketch::Numeric { values, missing } => {
-                        numeric_profile_from_values(values, missing)
-                    }
-                    ColumnSketch::Categorical { counts, missing } => {
-                        categorical_profile_from_counts(counts.into_iter().collect(), missing)
-                    }
-                };
-                (name, profile)
-            })
-            .collect();
-        DatasetProfile {
-            rows: self.rows,
-            columns,
-            group_label: self.table,
-        }
-    }
-}
-
-impl crate::chunked::ChunkSink for ProfileSketch {
-    fn chunk(&mut self, chunk: DataFrame) -> Result<()> {
-        self.update(&chunk)
     }
 }
 

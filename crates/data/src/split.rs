@@ -117,10 +117,8 @@ pub fn train_val_test_split(
 }
 
 /// Computes the shuffled partition indices of the three-way split without
-/// touching any data — the RNG-consuming core of [`train_val_test_split`],
-/// shared with the chunked split so both produce identical partitions for
-/// the same `(n, spec, seed)`.
-pub fn split_row_indices(n: usize, spec: SplitSpec, seed: u64) -> Result<SplitIndices> {
+/// touching any data — the RNG-consuming core of [`train_val_test_split`].
+fn split_row_indices(n: usize, spec: SplitSpec, seed: u64) -> Result<SplitIndices> {
     spec.validate()?;
     if n < 3 {
         return Err(Error::EmptyData(format!(

@@ -1,0 +1,105 @@
+//! Property tests: `read_csv` answers hostile bytes with `Ok` or a typed
+//! `Error`, never a panic. Two kinds of input: random bytes over the
+//! characters the reader treats specially, and mutations of a valid file
+//! with quoted fields and CRLF line endings. The proptest shim seeds each
+//! test from its name, so every run draws the same cases.
+
+use std::io::Cursor;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+
+use fairprep_data::column::ColumnKind;
+use fairprep_data::csv::{read_csv, DEFAULT_MISSING_TOKENS};
+use fairprep_data::error::Error;
+use proptest::prelude::*;
+
+/// Separators, quotes, line ends, a missing token, digits, NUL and a byte
+/// that never occurs in UTF-8.
+const ALPHABET: &[u8] = b",\"\r\n ?0123456789\x00\xff";
+
+const HEADER: &[u8] = b"age,job,income\n";
+
+/// Quoted fields holding a comma, doubled quotes and a two-byte UTF-8
+/// character; a missing token, an empty cell and CRLF line endings.
+const VALID: &[u8] = "age,job,income\r\n25,\"cook, senior\",low\r\n?,\"say \"\"hi\"\"\",high\r\n\
+                      40,,low\r\n31,\"café\",\"high\"\r\n"
+    .as_bytes();
+
+const KINDS: [(&str, ColumnKind); 3] = [
+    ("age", ColumnKind::Numeric),
+    ("job", ColumnKind::Categorical),
+    ("income", ColumnKind::Categorical),
+];
+
+/// Reads `bytes` and checks the outcome: no panic, a frame has fewer rows
+/// than the input has lines, and a CSV error names a line of the input.
+fn check(bytes: &[u8]) -> Result<(), TestCaseError> {
+    let outcome = catch_unwind(AssertUnwindSafe(|| {
+        read_csv(Cursor::new(bytes), &KINDS, DEFAULT_MISSING_TOKENS)
+    }));
+    let lines = bytes.split(|&b| b == b'\n').count();
+    match outcome {
+        Err(_) => prop_assert!(
+            false,
+            "read_csv panicked on {:?}",
+            String::from_utf8_lossy(bytes)
+        ),
+        Ok(Ok(frame)) => prop_assert!(
+            frame.n_rows() < lines,
+            "{} rows from {} lines",
+            frame.n_rows(),
+            lines
+        ),
+        Ok(Err(Error::Csv { line, .. })) => {
+            prop_assert!((1..=lines).contains(&line), "line {} of {}", line, lines);
+        }
+        Ok(Err(_)) => {}
+    }
+    Ok(())
+}
+
+#[test]
+fn the_mutated_file_is_valid() {
+    let frame = read_csv(Cursor::new(VALID), &KINDS, DEFAULT_MISSING_TOKENS).unwrap();
+    assert_eq!(frame.n_rows(), 4);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(300))]
+
+    /// Random bytes, half of them after a header `read_csv` accepts, so
+    /// the record parser and the cell typer see them too.
+    #[test]
+    fn random_bytes_give_a_frame_or_a_typed_error(
+        with_header in any::<bool>(),
+        picks in prop::collection::vec(0..ALPHABET.len(), 0..64),
+    ) {
+        let mut bytes = if with_header { HEADER.to_vec() } else { Vec::new() };
+        bytes.extend(picks.iter().map(|&i| ALPHABET[i]));
+        check(&bytes)?;
+    }
+
+    /// One to three edits of the valid file: truncation at any byte, or an
+    /// inserted quote, CR, LF, comma, or invalid UTF-8 sequence.
+    #[test]
+    fn mutated_valid_file_gives_a_frame_or_a_typed_error(
+        edits in prop::collection::vec((0_usize..6, 0_usize..=VALID.len()), 1..=3),
+    ) {
+        let mut bytes = VALID.to_vec();
+        for (kind, at) in edits {
+            let at = at.min(bytes.len());
+            let insert: &[u8] = match kind {
+                0 => {
+                    bytes.truncate(at);
+                    continue;
+                }
+                1 => b"\"",
+                2 => b"\r",
+                3 => b"\n",
+                4 => b",",
+                _ => b"\xc3",
+            };
+            bytes.splice(at..at, insert.iter().copied());
+        }
+        check(&bytes)?;
+    }
+}

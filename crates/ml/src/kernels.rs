@@ -89,19 +89,6 @@ pub fn dot_ref(a: &[f64], b: &[f64]) -> f64 {
     (acc[0] + acc[1]) + (acc[2] + acc[3]) + tail
 }
 
-/// 1-D gather into a caller-provided buffer: `out[k] = src[idx[k]]`.
-///
-/// Pure data movement (bit-exact by construction); the vector form of the
-/// preallocated matrix gathers in
-/// [`Matrix::gather`](crate::matrix::Matrix::gather). Used for bootstrap
-/// label/weight selection in ensembles.
-pub fn gather(src: &[f64], idx: &[usize], out: &mut [f64]) {
-    debug_assert_eq!(idx.len(), out.len());
-    for (o, &i) in out.iter_mut().zip(idx) {
-        *o = src[i];
-    }
-}
-
 /// One SGD weight update for the logistic log-loss:
 /// `w[j] -= eta * (g * row[j] + l2 * w[j] + l1 * signum(w[j]))`, with the
 /// `l1` term skipped entirely when `l1 == 0` (matching the seed training

@@ -140,8 +140,7 @@ impl Classifier for RandomForest {
             // Single-pass bootstrap×subspace gather — no intermediate
             // full-width bootstrap copy.
             let x_sub = x.gather(&rows, &features);
-            let mut y_sub = vec![0.0; rows.len()];
-            crate::kernels::gather(y, &rows, &mut y_sub);
+            let y_sub: Vec<f64> = rows.iter().map(|&i| y[i]).collect();
             // Bootstrap already accounts for the weights.
             let w_sub = vec![1.0; rows.len()];
             let model = tree_learner.fit_tree(&x_sub, &y_sub, &w_sub, tree_seed)?;

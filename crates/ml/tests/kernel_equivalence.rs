@@ -5,7 +5,7 @@
 //! random inputs, with lengths biased to straddle the 8-lane boundary
 //! (0..=17 covers zero, sub-lane, one-lane, and lane+tail shapes).
 
-use fairprep_ml::kernels::{dot, dot_ref, gather};
+use fairprep_ml::kernels::{dot, dot_ref};
 use fairprep_ml::matrix::Matrix;
 use proptest::prelude::*;
 
@@ -55,20 +55,6 @@ proptest! {
             let want = dot_ref(&data[r * cols..(r + 1) * cols], w);
             prop_assert_eq!(got.to_bits(), want.to_bits(), "row {}", r);
         }
-    }
-
-    /// Gathers are pure data movement: every output element is exactly the
-    /// addressed input element.
-    #[test]
-    fn gather_moves_exact_elements(
-        src in prop::collection::vec(-1.0e6_f64..1.0e6, 1..40),
-        picks in prop::collection::vec(0_usize..1000, 0..30),
-    ) {
-        let idx: Vec<usize> = picks.iter().map(|p| p % src.len()).collect();
-        let naive: Vec<f64> = idx.iter().map(|&i| src[i]).collect();
-        let mut out = vec![0.0; idx.len()];
-        gather(&src, &idx, &mut out);
-        prop_assert_eq!(&out, &naive);
     }
 }
 
