@@ -645,10 +645,19 @@ fn cmd_generate(inv: &Invocation) -> Result<(), String> {
     let frame = dataset.frame();
     let out = inv.get_or("out", "-");
     if out == "-" {
-        let stdout = std::io::stdout();
-        let mut lock = std::io::BufWriter::new(stdout.lock());
-        fairprep_data::csv::write_csv(frame, &mut lock)
-            .map_err(|e| format!("writing CSV to stdout: {e}"))?;
+        use std::io::Write as _;
+        let mut stdout = std::io::BufWriter::new(PipeOut {
+            inner: std::io::stdout().lock(),
+            closed: false,
+        });
+        let written = fairprep_data::csv::write_csv(frame, &mut stdout)
+            .map_err(|e| format!("writing CSV to stdout: {e}"))
+            .and_then(|()| stdout.flush().map_err(|e| format!("flushing stdout: {e}")));
+        // A reader that stops early (`| head`) wants no more rows: not an error.
+        if stdout.get_ref().closed {
+            return Ok(());
+        }
+        written?;
     } else {
         let file = std::fs::File::create(out).map_err(|e| format!("creating {out}: {e}"))?;
         let mut writer = std::io::BufWriter::new(file);
@@ -663,6 +672,33 @@ fn cmd_generate(inv: &Invocation) -> Result<(), String> {
         );
     }
     Ok(())
+}
+
+/// A writer that notes when the reading end of its pipe has closed.
+struct PipeOut<W> {
+    inner: W,
+    closed: bool,
+}
+
+impl<W> PipeOut<W> {
+    fn note<T>(&mut self, result: std::io::Result<T>) -> std::io::Result<T> {
+        if let Err(e) = &result {
+            self.closed |= e.kind() == std::io::ErrorKind::BrokenPipe;
+        }
+        result
+    }
+}
+
+impl<W: std::io::Write> std::io::Write for PipeOut<W> {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        let result = self.inner.write(buf);
+        self.note(result)
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        let result = self.inner.flush();
+        self.note(result)
+    }
 }
 
 /// `fairprep serve` — loads every sealed pipeline in `--registry DIR`

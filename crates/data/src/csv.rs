@@ -85,9 +85,9 @@ pub fn read_csv<R: BufRead>(
     kinds: &[(&str, ColumnKind)],
     missing_tokens: &[&str],
 ) -> Result<DataFrame> {
-    let mut lines = reader.lines().enumerate();
+    let mut lines = records(reader);
     let header = match lines.next() {
-        Some((_, line)) => parse_record(&line?, 1)?,
+        Some(line) => parse_record(&line?, 1)?,
         None => {
             return Err(Error::Csv {
                 line: 1,
@@ -104,15 +104,31 @@ pub fn read_csv<R: BufRead>(
         positions.push((pos, *name, *kind));
     }
     let mut builder = FrameBuilder::new(kinds);
-    for (idx, line) in lines {
+    for (idx, line) in lines.enumerate() {
         let line = line?;
         if line.trim().is_empty() {
             continue;
         }
-        let row = typed_row(&line, idx + 1, header.len(), &positions, missing_tokens)?;
+        let row = typed_row(&line, idx + 2, header.len(), &positions, missing_tokens)?;
         builder.push_row(row)?;
     }
     builder.finish()
+}
+
+/// The input's lines, cut at `\n` with one `\r` before it dropped, as
+/// [`BufRead::lines`] cuts them; a line that is not UTF-8 is a CSV error
+/// at its line number.
+fn records<R: BufRead>(reader: R) -> impl Iterator<Item = Result<String>> {
+    reader.split(b'\n').enumerate().map(|(idx, bytes)| {
+        let mut bytes = bytes?;
+        if bytes.last() == Some(&b'\r') {
+            bytes.pop();
+        }
+        String::from_utf8(bytes).map_err(|_| Error::Csv {
+            line: idx + 1,
+            message: "invalid UTF-8".to_string(),
+        })
+    })
 }
 
 /// Parses one data record into typed cells in request-column order.
@@ -164,12 +180,21 @@ fn escape(field: &str) -> String {
 /// quotes, trims every cell, and reads [`DEFAULT_MISSING_TOKENS`] as
 /// missing.
 fn unreadable(category: &str) -> Option<&'static str> {
-    if category.contains(['\n', '\r']) {
+    unreadable_name(category).or_else(|| {
+        DEFAULT_MISSING_TOKENS
+            .contains(&category)
+            .then_some("is a missing-value token")
+    })
+}
+
+/// Why [`read_csv`] would not find a column written under `name`, or
+/// `None` when it would: it splits records at line breaks and trims each
+/// header field before comparing it with the requested name.
+fn unreadable_name(name: &str) -> Option<&'static str> {
+    if name.contains(['\n', '\r']) {
         Some("contains a line break")
-    } else if category.trim() != category {
+    } else if name.trim() != name {
         Some("has surrounding whitespace")
-    } else if DEFAULT_MISSING_TOKENS.contains(&category) {
-        Some("is a missing-value token")
     } else {
         None
     }
@@ -178,11 +203,22 @@ fn unreadable(category: &str) -> Option<&'static str> {
 /// Writes a frame as CSV (header + records). Missing cells become empty
 /// fields.
 ///
-/// A categorical cell that [`read_csv`] would not read back unchanged (see
+/// A column name that [`read_csv`] could not find again, because it holds a
+/// line break or surrounding whitespace, is refused with an [`Error::Csv`]
+/// at line 1 before anything is written. A categorical cell that
+/// [`read_csv`] would not read back unchanged (see
 /// [`DEFAULT_MISSING_TOKENS`]) is refused with an [`Error::Csv`] naming its
 /// column and the line it would occupy; the records before that line have
 /// already been written.
 pub fn write_csv<W: Write>(frame: &DataFrame, writer: &mut W) -> Result<()> {
+    for name in frame.column_names() {
+        if let Some(why) = unreadable_name(name) {
+            return Err(Error::Csv {
+                line: 1,
+                message: format!("column name {name:?} {why}, so it would not read back"),
+            });
+        }
+    }
     let header: Vec<String> = frame.column_names().iter().map(|n| escape(n)).collect();
     writeln!(writer, "{}", header.join(","))?;
     // Each dictionary entry is escaped or refused once; a cell only indexes
@@ -407,6 +443,62 @@ mod tests {
                     assert!(message.starts_with("column job: "), "{message}");
                 }
                 other => panic!("unexpected error {other:?}"),
+            }
+        }
+    }
+
+    /// A name `read_csv` could not find again is refused before anything
+    /// is written; a name equal to a missing token reads back.
+    #[test]
+    fn write_refuses_names_that_would_not_read_back() {
+        for bad in ["a\nb", "a\r", " a ", "a\t"] {
+            let df = DataFrame::new()
+                .with_column("n", Column::from_f64([1.0]))
+                .unwrap()
+                .with_column(bad, Column::from_strs(["clerk"]))
+                .unwrap();
+            let mut out = Vec::new();
+            match write_csv(&df, &mut out).unwrap_err() {
+                Error::Csv { line, message } => {
+                    assert_eq!(line, 1, "{bad:?}");
+                    assert!(message.starts_with("column name "), "{message}");
+                }
+                other => panic!("unexpected error {other:?}"),
+            }
+            assert!(out.is_empty(), "{bad:?}");
+        }
+        for token in DEFAULT_MISSING_TOKENS {
+            let df = DataFrame::new()
+                .with_column(token, Column::from_f64([1.5]))
+                .unwrap();
+            let mut out = Vec::new();
+            write_csv(&df, &mut out).unwrap();
+            let back = read_csv(Cursor::new(out), &[(token, ColumnKind::Numeric)], &[]).unwrap();
+            assert_eq!(back.value(0, token).unwrap(), Value::Numeric(1.5));
+        }
+    }
+
+    /// Invalid UTF-8 is a CSV error at its line, the header's included,
+    /// with CRLF and LF line ends alike.
+    #[test]
+    fn invalid_utf8_is_reported_at_its_line() {
+        let cases: [(&[u8], usize); 4] = [
+            (b"a\xff,b\n1,2\n", 1),
+            (b"a,b\n1,2\n3,\xff\n", 3),
+            (b"a,b\r\n1,2\r\n\r\n3,\xc3\r\n", 4),
+            (b"a,b\n1,2\n\xff", 3),
+        ];
+        for (input, want) in cases {
+            let err = read_csv(Cursor::new(input), &[("a", ColumnKind::Numeric)], &[]).unwrap_err();
+            match err {
+                Error::Csv { line, message } => {
+                    assert_eq!(
+                        (line, message.as_str()),
+                        (want, "invalid UTF-8"),
+                        "{input:?}"
+                    );
+                }
+                other => panic!("unexpected error {other:?} for {input:?}"),
             }
         }
     }

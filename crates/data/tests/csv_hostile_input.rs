@@ -31,7 +31,8 @@ const KINDS: [(&str, ColumnKind); 3] = [
 ];
 
 /// Reads `bytes` and checks the outcome: no panic, a frame has fewer rows
-/// than the input has lines, and a CSV error names a line of the input.
+/// than the input has lines, a CSV error names a line of the input, and
+/// no error is an I/O error.
 fn check(bytes: &[u8]) -> Result<(), TestCaseError> {
     let outcome = catch_unwind(AssertUnwindSafe(|| {
         read_csv(Cursor::new(bytes), &KINDS, DEFAULT_MISSING_TOKENS)
@@ -52,6 +53,14 @@ fn check(bytes: &[u8]) -> Result<(), TestCaseError> {
         Ok(Err(Error::Csv { line, .. })) => {
             prop_assert!((1..=lines).contains(&line), "line {} of {}", line, lines);
         }
+        // Reading from memory cannot fail for want of input, and invalid
+        // UTF-8 is a CSV error at its line.
+        Ok(Err(Error::Io(message))) => prop_assert!(
+            false,
+            "io error {} on {:?}",
+            message,
+            String::from_utf8_lossy(bytes)
+        ),
         Ok(Err(_)) => {}
     }
     Ok(())

@@ -396,6 +396,19 @@ struct Builder<'a> {
     y: &'a [f64],
     w: &'a [f64],
     config: DecisionTreeConfig,
+    /// Per feature, `Some((lo, hi))` when every weight is 1 and the column
+    /// holds exactly two values ([`two_valued_columns`]): such a feature has
+    /// one boundary at every node, scored from counts instead of a sort.
+    two_valued: Vec<Option<(f64, f64)>>,
+    /// The two-valued features with their `lo`, in feature order.
+    counted: Vec<(usize, f64)>,
+    /// Per feature, the current node's rows at `lo` and the sum of their
+    /// labels; only the `counted` features are kept up to date.
+    at_lo: Vec<(usize, f64)>,
+    /// The current node's values of one sorted feature, in `indices` order.
+    values: Vec<f64>,
+    /// Positions into `values`, sorted by value.
+    order: Vec<usize>,
     nodes: Vec<Node>,
     stats: Vec<NodeStats>,
 }
@@ -404,6 +417,36 @@ struct BestSplit {
     feature: usize,
     threshold: f64,
     gain: f64,
+}
+
+impl<'a> Builder<'a> {
+    fn new(x: &'a Matrix, y: &'a [f64], w: &'a [f64], config: DecisionTreeConfig) -> Self {
+        // audit: allow(float-eq, reason = "counting is exact only when every weight is exactly 1.0; any other weight keeps the sorted scan")
+        let unit_weights = w.iter().all(|&wi| wi == 1.0);
+        let two_valued = if unit_weights {
+            two_valued_columns(x)
+        } else {
+            vec![None; x.n_cols()]
+        };
+        let counted = two_valued
+            .iter()
+            .enumerate()
+            .filter_map(|(f, pair)| pair.map(|(lo, _)| (f, lo)))
+            .collect();
+        Builder {
+            x,
+            y,
+            w,
+            config,
+            two_valued,
+            counted,
+            at_lo: vec![(0, 0.0); x.n_cols()],
+            values: Vec::with_capacity(x.n_rows()),
+            order: Vec::with_capacity(x.n_rows()),
+            nodes: Vec::new(),
+            stats: Vec::new(),
+        }
+    }
 }
 
 impl Builder<'_> {
@@ -433,15 +476,20 @@ impl Builder<'_> {
         if let Some(split) = best {
             // Partition indices in place around the threshold.
             let mid = partition(indices, |i| self.x.get(i, split.feature) <= split.threshold);
-            let (left_ix, right_ix) = indices.split_at_mut(mid);
-            let left = self.build(left_ix, depth + 1);
-            let right = self.build(right_ix, depth + 1);
-            self.nodes[me] = Node::Split {
-                feature: split.feature,
-                threshold: split.threshold,
-                left,
-                right,
-            };
+            // A boundary whose lower side ends in a NaN has no `<=`
+            // threshold (a NaN is `<=` nothing) and sends every row right;
+            // the node then stays a leaf instead of recursing on its rows.
+            if 0 < mid && mid < indices.len() {
+                let (left_ix, right_ix) = indices.split_at_mut(mid);
+                let left = self.build(left_ix, depth + 1);
+                let right = self.build(right_ix, depth + 1);
+                self.nodes[me] = Node::Split {
+                    feature: split.feature,
+                    threshold: split.threshold,
+                    left,
+                    right,
+                };
+            }
         }
         me
     }
@@ -458,71 +506,183 @@ impl Builder<'_> {
 
     /// Best split of the node holding `indices`, whose weighted positive
     /// mass and total mass are `all_pos` and `all_total`.
+    ///
+    /// A two-valued feature's one boundary is scored from the counts of
+    /// [`Builder::count_two_valued`]; every other feature is gathered, its
+    /// positions sorted by value, and scanned. Counting needs unit weights:
+    /// with them and 0/1 labels every partial sum is an integer below 2^53,
+    /// exact in any order, so the counted boundary has the bits a scan in
+    /// any order of its tied rows would give it. Other weights make that
+    /// order observable, so they keep the scan for every feature, and the
+    /// scan sorts positions with the comparisons the row indices had, which
+    /// leaves its permutation unchanged.
     fn best_split(
-        &self,
+        &mut self,
         indices: &[usize],
         node_impurity: f64,
         all_pos: f64,
         all_total: f64,
     ) -> Option<BestSplit> {
         let min_leaf = self.config.min_samples_leaf;
+        let n = indices.len();
         let mut best: Option<BestSplit> = None;
-        let mut order: Vec<usize> = Vec::with_capacity(indices.len());
+        self.count_two_valued(indices);
 
+        // Features in index order, so that ties keep the lowest feature.
         for feature in 0..self.x.n_cols() {
-            order.clear();
-            order.extend_from_slice(indices);
-            order.sort_unstable_by(|&a, &b| {
-                self.x.get(a, feature).total_cmp(&self.x.get(b, feature))
-            });
+            if let Some((lo, hi)) = self.two_valued[feature] {
+                let (n_left, left_pos) = self.at_lo[feature];
+                // `min_leaf >= 1` also turns away a node holding one value.
+                if n_left < min_leaf || n - n_left < min_leaf {
+                    continue;
+                }
+                let gain = self.gain(node_impurity, left_pos, n_left as f64, all_pos, all_total);
+                offer(&mut best, feature, gain, || midpoint(lo, hi));
+                continue;
+            }
+
+            self.values.clear();
+            self.values
+                .extend(indices.iter().map(|&i| self.x.get(i, feature)));
+            if let Some((first, rest)) = self.values.split_first() {
+                if rest.iter().all(|v| v == first) {
+                    continue; // cannot split between equal values
+                }
+            }
+            self.order.clear();
+            self.order.extend(0..n);
+            self.order
+                .sort_unstable_by(|&a, &b| self.values[a].total_cmp(&self.values[b]));
 
             let mut left_pos = 0.0;
             let mut left_total = 0.0;
-            for k in 0..order.len() - 1 {
-                let i = order[k];
+            for k in 0..n - 1 {
+                let p = self.order[k];
+                let i = indices[p];
                 left_pos += self.w[i] * self.y[i];
                 left_total += self.w[i];
-                let xv = self.x.get(i, feature);
-                let xn = self.x.get(order[k + 1], feature);
+                let xv = self.values[p];
+                let xn = self.values[self.order[k + 1]];
                 if xv == xn {
                     continue; // cannot split between equal values
                 }
                 let n_left = k + 1;
-                let n_right = order.len() - n_left;
-                if n_left < min_leaf || n_right < min_leaf {
+                if n_left < min_leaf || n - n_left < min_leaf {
                     continue;
                 }
-                let right_pos = all_pos - left_pos;
-                let right_total = all_total - left_total;
-                let imp_l = self.config.criterion.impurity(left_pos, left_total);
-                let imp_r = self.config.criterion.impurity(right_pos, right_total);
-                let weighted_child =
-                    (left_total * imp_l + right_total * imp_r) / all_total.max(1e-12);
-                // Like scikit-learn with `min_impurity_decrease = 0`, zero-gain
-                // splits are admissible (this is what lets greedy CART solve
-                // XOR-shaped problems); ties keep the first (lowest-feature)
-                // candidate for determinism.
-                let gain = node_impurity - weighted_child;
-                if gain >= 0.0 && best.as_ref().is_none_or(|b| gain > b.gain) {
-                    best = Some(BestSplit {
-                        feature,
-                        threshold: midpoint(xv, xn),
-                        gain,
-                    });
-                }
+                let gain = self.gain(node_impurity, left_pos, left_total, all_pos, all_total);
+                offer(&mut best, feature, gain, || midpoint(xv, xn));
             }
         }
         best
     }
+
+    /// Counts, in one row-major pass over the node, each two-valued
+    /// feature's rows at `lo` and the sum of their labels.
+    fn count_two_valued(&mut self, indices: &[usize]) {
+        if self.counted.is_empty() {
+            return;
+        }
+        for &(f, _) in &self.counted {
+            self.at_lo[f] = (0, 0.0);
+        }
+        for &i in indices {
+            let row = self.x.row(i);
+            let label = self.y[i];
+            for &(f, lo) in &self.counted {
+                // Exact: the column holds only `lo` and a `hi` unequal to it.
+                if row[f] == lo {
+                    let tally = &mut self.at_lo[f];
+                    tally.0 += 1;
+                    tally.1 += label;
+                }
+            }
+        }
+    }
+
+    /// Impurity decrease from splitting the node into a left child of
+    /// weighted positive mass `left_pos` out of `left_total` and the rest.
+    fn gain(
+        &self,
+        node_impurity: f64,
+        left_pos: f64,
+        left_total: f64,
+        all_pos: f64,
+        all_total: f64,
+    ) -> f64 {
+        let right_pos = all_pos - left_pos;
+        let right_total = all_total - left_total;
+        let imp_l = self.config.criterion.impurity(left_pos, left_total);
+        let imp_r = self.config.criterion.impurity(right_pos, right_total);
+        let weighted_child = (left_total * imp_l + right_total * imp_r) / all_total.max(1e-12);
+        node_impurity - weighted_child
+    }
+}
+
+/// Keeps the split of `feature` with `gain` if it is admissible and beats
+/// `best`. Like scikit-learn with `min_impurity_decrease = 0`, zero-gain
+/// splits are admissible (this is what lets greedy CART solve XOR-shaped
+/// problems); ties keep the first (lowest-feature) candidate for
+/// determinism.
+fn offer(best: &mut Option<BestSplit>, feature: usize, gain: f64, threshold: impl FnOnce() -> f64) {
+    if gain >= 0.0 && best.as_ref().is_none_or(|b| gain > b.gain) {
+        *best = Some(BestSplit {
+            feature,
+            threshold: threshold(),
+            gain,
+        });
+    }
+}
+
+/// Per column of `x`, its two values `(lo, hi)` in `total_cmp` order when
+/// the column holds exactly two bit patterns, neither is NaN, and they
+/// compare unequal with `==`; `None` otherwise, so a `{-0.0, +0.0}` column
+/// or one holding NaN is scanned like any other.
+fn two_valued_columns(x: &Matrix) -> Vec<Option<(f64, f64)>> {
+    let Some(first) = x.rows_iter().next() else {
+        return vec![None; x.n_cols()];
+    };
+    // Per column: the first bit pattern, the second, and whether a third
+    // has been seen.
+    let mut seen: Vec<(u64, Option<u64>, bool)> =
+        first.iter().map(|v| (v.to_bits(), None, false)).collect();
+    for row in x.rows_iter() {
+        for (v, (a, b, more)) in row.iter().zip(&mut seen) {
+            let bits = v.to_bits();
+            if bits == *a || *more {
+                continue;
+            }
+            match b {
+                None => *b = Some(bits),
+                Some(b) if *b == bits => {}
+                Some(_) => *more = true,
+            }
+        }
+    }
+    seen.iter()
+        .map(|&(a, b, more)| {
+            let (a, b) = (f64::from_bits(a), f64::from_bits(b?));
+            let two = !more && !a.is_nan() && !b.is_nan() && a != b;
+            two.then(|| {
+                if a.total_cmp(&b).is_lt() {
+                    (a, b)
+                } else {
+                    (b, a)
+                }
+            })
+        })
+        .collect()
 }
 
 /// Midpoint that is guaranteed to satisfy `lo <= mid < hi` for `lo < hi`.
+/// When `lo` is −∞ or `hi` is NaN the halfway point is NaN, and `lo`
+/// itself is the threshold.
 fn midpoint(lo: f64, hi: f64) -> f64 {
     let mid = lo + (hi - lo) / 2.0;
-    if mid >= hi {
-        lo
-    } else {
+    if mid < hi {
         mid
+    } else {
+        lo
     }
 }
 
@@ -592,14 +752,7 @@ impl DecisionTree {
         validate_training_inputs(x, y, weights)?;
         self.config.check()?;
         let mut indices: Vec<usize> = (0..x.n_rows()).collect();
-        let mut builder = Builder {
-            x,
-            y,
-            w: weights,
-            config: self.config,
-            nodes: Vec::new(),
-            stats: Vec::new(),
-        };
+        let mut builder = Builder::new(x, y, weights, self.config);
         builder.build(&mut indices, 0);
         Ok(PrunableTree {
             config: self.config,
@@ -615,6 +768,259 @@ impl DecisionTree {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// The builder as it was before two-valued features were counted: the
+    /// same `build`, calling the split search it replaced.
+    impl Builder<'_> {
+        fn build_oracle(&mut self, indices: &mut [usize], depth: usize) -> usize {
+            let (pos, total) = self.weighted_counts(indices);
+            let node_impurity = self.config.criterion.impurity(pos, total);
+            let proba = if total > 0.0 { pos / total } else { 0.5 };
+            let can_split = self.config.allows_split(depth, indices.len())
+                && indices.len() >= 2 * self.config.min_samples_leaf
+                && node_impurity > 1e-12;
+            let best = if can_split {
+                self.best_split_oracle(indices, node_impurity, pos, total)
+            } else {
+                None
+            };
+            self.nodes.push(Node::Leaf { proba });
+            self.stats.push(NodeStats {
+                rows: indices.len(),
+                depth,
+                proba,
+            });
+            let me = self.nodes.len() - 1;
+            if let Some(split) = best {
+                let mid = partition(indices, |i| self.x.get(i, split.feature) <= split.threshold);
+                if 0 < mid && mid < indices.len() {
+                    let (left_ix, right_ix) = indices.split_at_mut(mid);
+                    let left = self.build_oracle(left_ix, depth + 1);
+                    let right = self.build_oracle(right_ix, depth + 1);
+                    self.nodes[me] = Node::Split {
+                        feature: split.feature,
+                        threshold: split.threshold,
+                        left,
+                        right,
+                    };
+                }
+            }
+            me
+        }
+
+        /// The replaced split search: every feature sorted by strided
+        /// `Matrix::get` reads and scanned.
+        fn best_split_oracle(
+            &self,
+            indices: &[usize],
+            node_impurity: f64,
+            all_pos: f64,
+            all_total: f64,
+        ) -> Option<BestSplit> {
+            let min_leaf = self.config.min_samples_leaf;
+            let mut best: Option<BestSplit> = None;
+            let mut order: Vec<usize> = Vec::with_capacity(indices.len());
+
+            for feature in 0..self.x.n_cols() {
+                order.clear();
+                order.extend_from_slice(indices);
+                order.sort_unstable_by(|&a, &b| {
+                    self.x.get(a, feature).total_cmp(&self.x.get(b, feature))
+                });
+
+                let mut left_pos = 0.0;
+                let mut left_total = 0.0;
+                for k in 0..order.len() - 1 {
+                    let i = order[k];
+                    left_pos += self.w[i] * self.y[i];
+                    left_total += self.w[i];
+                    let xv = self.x.get(i, feature);
+                    let xn = self.x.get(order[k + 1], feature);
+                    if xv == xn {
+                        continue;
+                    }
+                    let n_left = k + 1;
+                    let n_right = order.len() - n_left;
+                    if n_left < min_leaf || n_right < min_leaf {
+                        continue;
+                    }
+                    let right_pos = all_pos - left_pos;
+                    let right_total = all_total - left_total;
+                    let imp_l = self.config.criterion.impurity(left_pos, left_total);
+                    let imp_r = self.config.criterion.impurity(right_pos, right_total);
+                    let weighted_child =
+                        (left_total * imp_l + right_total * imp_r) / all_total.max(1e-12);
+                    let gain = node_impurity - weighted_child;
+                    if gain >= 0.0 && best.as_ref().is_none_or(|b| gain > b.gain) {
+                        best = Some(BestSplit {
+                            feature,
+                            threshold: midpoint(xv, xn),
+                            gain,
+                        });
+                    }
+                }
+            }
+            best
+        }
+    }
+
+    /// One line per node, every float as its bit pattern: the split or the
+    /// leaf, then the node's row count, depth and leaf probability.
+    fn arena_bits(nodes: &[Node], stats: &[NodeStats]) -> Vec<String> {
+        nodes
+            .iter()
+            .zip(stats)
+            .map(|(node, s)| {
+                let node = match node {
+                    Node::Leaf { proba } => format!("leaf {:016x}", proba.to_bits()),
+                    Node::Split {
+                        feature,
+                        threshold,
+                        left,
+                        right,
+                    } => format!(
+                        "x{feature} <= {:016x} ? {left} : {right}",
+                        threshold.to_bits()
+                    ),
+                };
+                let NodeStats { rows, depth, proba } = s;
+                format!(
+                    "{node} | {rows} rows, depth {depth}, {:016x}",
+                    proba.to_bits()
+                )
+            })
+            .collect()
+    }
+
+    /// A column of one of the kinds the oracle test mixes: one-hot 0/1,
+    /// `{-0.0, 1.0}`, `{-0.0, +0.0}`, three-valued, continuous, constant,
+    /// with ±∞, and with NaN of either sign.
+    fn column(rng: &mut StdRng, rows: usize) -> Vec<f64> {
+        let kinds: [&[f64]; 11] = [
+            &[0.0, 1.0],
+            &[-0.0, 1.0],
+            &[-0.0, 0.0],
+            &[-1.5, 0.25, 2.0],
+            &[],
+            &[0.75],
+            &[f64::NEG_INFINITY, f64::INFINITY],
+            &[f64::NEG_INFINITY, -1.0, 0.0, 3.0, f64::INFINITY],
+            &[0.0, f64::INFINITY],
+            &[1.0, f64::NAN],
+            &[-f64::NAN, 0.0, 1.0, f64::NAN],
+        ];
+        let values = kinds[rng.random_range(0..kinds.len())];
+        // Skewed like a one-hot indicator, or balanced.
+        let skew = [0.5, 0.1][rng.random_range(0..2_usize)];
+        (0..rows)
+            .map(|_| match values {
+                [] => rng.random::<f64>() * 4.0 - 2.0,
+                [first, rest @ ..] if rest.is_empty() || rng.random_bool(1.0 - skew) => *first,
+                _ => values[rng.random_range(1..values.len())],
+            })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+
+        /// `fit_prunable` builds the oracle's arena and node statistics bit
+        /// for bit, over mixed column kinds, unit, reweighing-style and
+        /// random positive weights, and the §5.1 hyperparameter ranges.
+        #[test]
+        fn builder_equals_the_sorting_oracle_node_for_node(seed in any::<u64>()) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let rows: usize = rng.random_range(2..=120);
+            let cols: usize = rng.random_range(1..=8);
+            let columns: Vec<Vec<f64>> = (0..cols).map(|_| column(&mut rng, rows)).collect();
+            let data: Vec<Vec<f64>> = (0..rows)
+                .map(|r| columns.iter().map(|c| c[r]).collect())
+                .collect();
+            let x = Matrix::from_rows(&data).expect("rectangular rows");
+            let y: Vec<f64> = (0..rows).map(|_| f64::from(u8::from(rng.random_bool(0.4)))).collect();
+            const CELL_WEIGHTS: [f64; 4] = [0.8125, 1.3, 0.95, 1.0714285714285714];
+            let weighting = rng.random_range(0..3_u8);
+            let w: Vec<f64> = y
+                .iter()
+                .map(|&label| match weighting {
+                    0 => 1.0,
+                    1 => CELL_WEIGHTS[2 * rng.random_range(0..2_usize) + usize::from(label > 0.5)],
+                    _ => rng.random::<f64>() * 3.0 + 0.01,
+                })
+                .collect();
+            let config = DecisionTreeConfig {
+                criterion: [SplitCriterion::Gini, SplitCriterion::Entropy][rng.random_range(0..2_usize)],
+                max_depth: [None, Some(3), Some(10)][rng.random_range(0..3_usize)],
+                min_samples_leaf: rng.random_range(1..=10),
+                min_samples_split: rng.random_range(2..=10),
+            };
+
+            let fitted = DecisionTree::new(config).fit_prunable(&x, &y, &w).expect("valid fit");
+            let mut oracle = Builder::new(&x, &y, &w, config);
+            oracle.build_oracle(&mut (0..rows).collect::<Vec<_>>(), 0);
+            prop_assert_eq!(
+                arena_bits(&fitted.tree.nodes, &fitted.stats),
+                arena_bits(&oracle.nodes, &oracle.stats),
+                "seed {}, {:?}",
+                seed,
+                config
+            );
+        }
+    }
+
+    /// Two-valued columns are told apart by bit pattern, NaN and `==`.
+    #[test]
+    fn two_valued_columns_need_two_distinct_non_nan_values() {
+        let x = Matrix::from_rows(&[
+            vec![0.0, -0.0, -0.0, 1.0, f64::NAN, 2.0, f64::NEG_INFINITY],
+            vec![1.0, 1.0, 0.0, 1.0, 1.0, 3.0, f64::INFINITY],
+            vec![0.0, -0.0, 0.0, 1.0, 1.0, 4.0, f64::INFINITY],
+        ])
+        .unwrap();
+        let got: Vec<Option<(u64, u64)>> = two_valued_columns(&x)
+            .into_iter()
+            .map(|pair| pair.map(|(lo, hi)| (lo.to_bits(), hi.to_bits())))
+            .collect();
+        let bits = |lo: f64, hi: f64| Some((lo.to_bits(), hi.to_bits()));
+        assert_eq!(
+            got,
+            vec![
+                bits(0.0, 1.0),
+                bits(-0.0, 1.0),
+                None,
+                None,
+                None,
+                None,
+                bits(f64::NEG_INFINITY, f64::INFINITY),
+            ]
+        );
+    }
+
+    /// A NaN or −∞ feature value never yields a split that sends every row
+    /// one way, on which an unbounded build would recurse until the stack
+    /// overflows. NaN rows above the rest and −∞ rows split off cleanly; a
+    /// boundary above sign-bit NaN rows has no `<=` threshold, so its node
+    /// stays a leaf.
+    #[test]
+    fn non_finite_features_split_or_stay_leaves() {
+        for (special, nodes) in [(f64::NAN, 3), (f64::NEG_INFINITY, 3), (-f64::NAN, 1)] {
+            // The first seven rows hold `special` and are the positives.
+            let value = |i: u8| if i < 7 { special } else { f64::from(i % 2) };
+            let rows: Vec<Vec<f64>> = (0..20).map(|i| vec![value(i)]).collect();
+            let y: Vec<f64> = (0..20).map(|i| f64::from(u8::from(i < 7))).collect();
+            let x = Matrix::from_rows(&rows).unwrap();
+            let tree = DecisionTree::default()
+                .fit_tree(&x, &y, &[1.0; 20], 0)
+                .unwrap();
+            assert_eq!(tree.n_nodes(), nodes, "{special}");
+            if nodes == 3 {
+                assert_eq!(tree.predict(&x).unwrap(), y, "{special}");
+            }
+        }
+    }
 
     fn xor_data() -> (Matrix, Vec<f64>) {
         // XOR needs depth >= 2 — not linearly separable.
@@ -818,14 +1224,8 @@ mod tests {
             .unwrap();
         // Downcast via re-fit to the concrete type for structural checks.
         let mut indices: Vec<usize> = (0..x.n_rows()).collect();
-        let mut b = Builder {
-            x: &x,
-            y: &y,
-            w: &vec![1.0; y.len()],
-            config: DecisionTreeConfig::default(),
-            nodes: Vec::new(),
-            stats: Vec::new(),
-        };
+        let w = vec![1.0; y.len()];
+        let mut b = Builder::new(&x, &y, &w, DecisionTreeConfig::default());
         b.build(&mut indices, 0);
         let tree = FittedDecisionTree {
             nodes: b.nodes,

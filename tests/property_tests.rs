@@ -233,12 +233,16 @@ proptest! {
         }
     }
 
-    /// CSV write → read roundtrips every frame whose categories `read_csv`
-    /// returns as written. A frame holding a category with a line break or
-    /// surrounding whitespace, or one equal to a missing token, is refused
-    /// with a CSV error at the line of the first such cell.
+    /// CSV write → read roundtrips every frame whose column names and
+    /// categories `read_csv` returns as written. A column name with a line
+    /// break or surrounding whitespace is refused with a CSV error at line 1
+    /// before anything is written; a name equal to a missing token is fine.
+    /// A frame holding a category with a line break or surrounding
+    /// whitespace, or one equal to a missing token, is refused with a CSV
+    /// error at the line of the first such cell.
     #[test]
     fn csv_roundtrip(
+        names in ((0_usize..24, "[a-z ,\"\r\n?]{0,4}"), (0_usize..24, "[a-z ,\"\r\n?]{0,4}")),
         categories in prop::collection::vec((0_usize..24, "[a-z ,\"\r\n?]{0,8}"), 1..4),
         rows in prop::collection::vec(
             (proptest::option::of(-1e6f64..1e6), proptest::option::of(0_usize..3)),
@@ -247,40 +251,53 @@ proptest! {
     ) {
         use fairprep_data::csv::{read_csv, write_csv, DEFAULT_MISSING_TOKENS};
         use fairprep_data::error::Error;
-        // About a quarter of the categories are missing tokens.
-        let categories: Vec<String> = categories
-            .into_iter()
-            .map(|(pick, s)| DEFAULT_MISSING_TOKENS.get(pick).map_or(s, |t| (*t).to_string()))
-            .collect();
-        let category = |c: &Option<usize>| c.map(|i| categories[i % categories.len()].as_str());
-        let unreadable = |c: &str| {
-            c.contains(['\n', '\r']) || c.trim() != c || DEFAULT_MISSING_TOKENS.contains(&c)
+        // About a quarter of the names and categories are missing tokens.
+        let token_or = |(pick, s): (usize, String)| {
+            DEFAULT_MISSING_TOKENS.get(pick).map_or(s, |t| (*t).to_string())
         };
+        let (n, c) = (token_or(names.0), token_or(names.1));
+        prop_assume!(n != c);
+        let categories: Vec<String> = categories.into_iter().map(token_or).collect();
+        let category = |c: &Option<usize>| c.map(|i| categories[i % categories.len()].as_str());
+        let unreadable_name = |c: &str| c.contains(['\n', '\r']) || c.trim() != c;
+        let unreadable = |c: &str| unreadable_name(c) || DEFAULT_MISSING_TOKENS.contains(&c);
+        let name_refused = unreadable_name(&n) || unreadable_name(&c);
         let first_refused = rows.iter().position(|(_, c)| category(c).is_some_and(unreadable));
         let frame = DataFrame::new()
-            .with_column("n", Column::from_optional_f64(rows.iter().map(|(v, _)| *v)))
+            .with_column(&n, Column::from_optional_f64(rows.iter().map(|(v, _)| *v)))
             .unwrap()
-            .with_column("c", Column::from_optional_strs(rows.iter().map(|(_, c)| category(c))))
+            .with_column(&c, Column::from_optional_strs(rows.iter().map(|(_, c)| category(c))))
             .unwrap();
         let mut buffer = Vec::new();
-        match (write_csv(&frame, &mut buffer), first_refused) {
-            (Ok(()), None) => {
+        let written = write_csv(&frame, &mut buffer);
+        match (written, name_refused, first_refused) {
+            (Err(Error::Csv { line: 1, .. }), true, _) => prop_assert!(
+                buffer.is_empty(),
+                "{} bytes written before refusing {:?} / {:?}",
+                buffer.len(),
+                n,
+                c
+            ),
+            (Ok(()), false, None) => {
                 let back = read_csv(
                     std::io::Cursor::new(buffer),
-                    &[("n", ColumnKind::Numeric), ("c", ColumnKind::Categorical)],
+                    &[(n.as_str(), ColumnKind::Numeric), (c.as_str(), ColumnKind::Categorical)],
                     DEFAULT_MISSING_TOKENS,
                 ).unwrap();
                 prop_assert_eq!(back.n_rows(), frame.n_rows());
                 for i in 0..frame.n_rows() {
-                    prop_assert_eq!(back.value(i, "n").unwrap(), frame.value(i, "n").unwrap());
-                    prop_assert_eq!(back.value(i, "c").unwrap(), frame.value(i, "c").unwrap());
+                    prop_assert_eq!(back.value(i, &n).unwrap(), frame.value(i, &n).unwrap());
+                    prop_assert_eq!(back.value(i, &c).unwrap(), frame.value(i, &c).unwrap());
                 }
             }
-            (Err(Error::Csv { line, .. }), Some(row)) => prop_assert_eq!(line, row + 2),
-            (written, refused) => prop_assert!(
+            (Err(Error::Csv { line, .. }), false, Some(row)) => prop_assert_eq!(line, row + 2),
+            (written, names_refused, refused) => prop_assert!(
                 false,
-                "write_csv gave {:?}; first unreadable row {:?}",
+                "write_csv gave {:?}; names {:?} / {:?} refused: {}; first unreadable row {:?}",
                 written,
+                n,
+                c,
+                names_refused,
                 refused
             ),
         }
