@@ -197,7 +197,6 @@ pub fn classify(rel_path: &str) -> FileScope {
     let p = rel_path;
     if p.starts_with("crates/rand/")
         || p.starts_with("crates/proptest/")
-        || p.starts_with("crates/criterion/")
         || p.starts_with("target/")
     {
         return FileScope::Excluded;

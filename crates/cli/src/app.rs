@@ -1305,6 +1305,44 @@ mod csv_cli_tests {
         std::fs::remove_file(&path).ok();
     }
 
+    /// A numeric cell that is not a finite number stops the run at ingest,
+    /// naming the CSV's own column and line, whichever learner and scaler
+    /// the run would use.
+    #[test]
+    fn non_finite_csv_cell_is_refused_with_its_column_and_line() {
+        let path = std::env::temp_dir().join(format!(
+            "fairprep_cli_non_finite_{}.csv",
+            std::process::id()
+        ));
+        for cell in ["inf", "-nan", "NaN"] {
+            let mut csv = String::from("score,group,outcome\n");
+            for i in 0..150 {
+                let g = if i % 2 == 0 { "x" } else { "y" };
+                let outcome = if i % 3 == 1 { "good" } else { "bad" };
+                if i % 3 == 2 {
+                    csv.push_str(&format!("{cell},{g},{outcome}\n"));
+                } else {
+                    csv.push_str(&format!("{},{g},{outcome}\n", 30 + i));
+                }
+            }
+            std::fs::write(&path, csv).unwrap();
+            for (learner, scaler) in [("lr", "standard"), ("dt", "none")] {
+                let cmd = format!(
+                    "run --csv {} --numeric score --label outcome --favorable good \
+                     --protected group --privileged x --learner {learner} --scaler {scaler}",
+                    path.display()
+                );
+                let argv: Vec<String> = cmd.split_whitespace().map(ToString::to_string).collect();
+                let err = execute(&argv).unwrap_err();
+                assert_eq!(
+                    err,
+                    format!("csv error at line 4: column score: `{cell}` is not a finite number")
+                );
+            }
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
     #[test]
     fn csv_requires_schema_options() {
         let err = execute(

@@ -80,6 +80,9 @@ fn parse_record(line: &str, line_no: usize) -> Result<Vec<String>> {
 /// column type to ingest. Header columns absent from `kinds` are skipped.
 /// Cells matching one of `missing_tokens` (compared after trimming
 /// surrounding whitespace) become missing values. Blank lines are skipped.
+/// A numeric cell that is not a finite number, such as `NaN`, `inf` or
+/// `1e999`, is an [`Error::Csv`] naming its column and line, as any other
+/// non-number is.
 pub fn read_csv<R: BufRead>(
     reader: R,
     kinds: &[(&str, ColumnKind)],
@@ -159,6 +162,12 @@ fn typed_row(
                     line: line_no,
                     message: format!("column {name}: `{raw}` is not numeric"),
                 })?;
+                if !v.is_finite() {
+                    return Err(Error::Csv {
+                        line: line_no,
+                        message: format!("column {name}: `{raw}` is not a finite number"),
+                    });
+                }
                 row.push(OwnedValue::Numeric(v));
             }
             ColumnKind::Categorical => row.push(OwnedValue::Categorical(raw.to_string())),
@@ -207,9 +216,9 @@ fn unreadable_name(name: &str) -> Option<&'static str> {
 /// line break or surrounding whitespace, is refused with an [`Error::Csv`]
 /// at line 1 before anything is written. A categorical cell that
 /// [`read_csv`] would not read back unchanged (see
-/// [`DEFAULT_MISSING_TOKENS`]) is refused with an [`Error::Csv`] naming its
-/// column and the line it would occupy; the records before that line have
-/// already been written.
+/// [`DEFAULT_MISSING_TOKENS`]), and a numeric cell that is not finite, are
+/// refused with an [`Error::Csv`] naming the column and the line the cell
+/// would occupy; the records before that line have already been written.
 pub fn write_csv<W: Write>(frame: &DataFrame, writer: &mut W) -> Result<()> {
     for name in frame.column_names() {
         if let Some(why) = unreadable_name(name) {
@@ -244,11 +253,18 @@ pub fn write_csv<W: Write>(frame: &DataFrame, writer: &mut W) -> Result<()> {
                 record.push(',');
             }
             match column {
-                Column::Numeric(values) => {
-                    if let Some(v) = values[i] {
-                        record.push_str(&format_float(v));
+                Column::Numeric(values) => match values[i] {
+                    Some(v) if !v.is_finite() => {
+                        return Err(Error::Csv {
+                            line: i + 2,
+                            message: format!(
+                                "column {name}: {v} is not finite, so it would not read back"
+                            ),
+                        })
                     }
-                }
+                    Some(v) => record.push_str(&format_float(v)),
+                    None => {}
+                },
                 Column::Categorical(cat) => {
                     if let Some(code) = cat.codes()[i] {
                         match &entries[code as usize] {

@@ -1,15 +1,17 @@
 //! Property tests: `read_csv` answers hostile bytes with `Ok` or a typed
-//! `Error`, never a panic. Two kinds of input: random bytes over the
-//! characters the reader treats specially, and mutations of a valid file
-//! with quoted fields and CRLF line endings. The proptest shim seeds each
-//! test from its name, so every run draws the same cases.
+//! `Error`, never a panic, and never returns a non-finite number. Two
+//! kinds of input: random bytes over the characters the reader treats
+//! specially, and mutations of a valid file with quoted fields and CRLF
+//! line endings. The proptest shim seeds each test from its name, so every
+//! run draws the same cases.
 
 use std::io::Cursor;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use fairprep_data::column::ColumnKind;
-use fairprep_data::csv::{read_csv, DEFAULT_MISSING_TOKENS};
+use fairprep_data::column::{Column, ColumnKind, Value};
+use fairprep_data::csv::{read_csv, write_csv, DEFAULT_MISSING_TOKENS};
 use fairprep_data::error::Error;
+use fairprep_data::frame::DataFrame;
 use proptest::prelude::*;
 
 /// Separators, quotes, line ends, a missing token, digits, NUL and a byte
@@ -30,9 +32,24 @@ const KINDS: [(&str, ColumnKind); 3] = [
     ("income", ColumnKind::Categorical),
 ];
 
+/// Spellings Rust's `f64` parser accepts for values that are not finite
+/// numbers, and literals that overflow to infinity.
+const NON_FINITE: [&str; 10] = [
+    "NaN",
+    "nan",
+    "-nan",
+    "inf",
+    "-inf",
+    "+inf",
+    "infinity",
+    "-Infinity",
+    "1e999",
+    "-1e400",
+];
+
 /// Reads `bytes` and checks the outcome: no panic, a frame has fewer rows
-/// than the input has lines, a CSV error names a line of the input, and
-/// no error is an I/O error.
+/// than the input has lines and only finite numbers, a CSV error names a
+/// line of the input, and no error is an I/O error.
 fn check(bytes: &[u8]) -> Result<(), TestCaseError> {
     let outcome = catch_unwind(AssertUnwindSafe(|| {
         read_csv(Cursor::new(bytes), &KINDS, DEFAULT_MISSING_TOKENS)
@@ -44,12 +61,19 @@ fn check(bytes: &[u8]) -> Result<(), TestCaseError> {
             "read_csv panicked on {:?}",
             String::from_utf8_lossy(bytes)
         ),
-        Ok(Ok(frame)) => prop_assert!(
-            frame.n_rows() < lines,
-            "{} rows from {} lines",
-            frame.n_rows(),
-            lines
-        ),
+        Ok(Ok(frame)) => {
+            prop_assert!(
+                frame.n_rows() < lines,
+                "{} rows from {} lines",
+                frame.n_rows(),
+                lines
+            );
+            for i in 0..frame.n_rows() {
+                if let Ok(Value::Numeric(v)) = frame.value(i, "age") {
+                    prop_assert!(v.is_finite(), "age {} read from row {}", v, i);
+                }
+            }
+        }
         Ok(Err(Error::Csv { line, .. })) => {
             prop_assert!((1..=lines).contains(&line), "line {} of {}", line, lines);
         }
@@ -72,6 +96,44 @@ fn the_mutated_file_is_valid() {
     assert_eq!(frame.n_rows(), 4);
 }
 
+/// A numeric cell that is not a finite number is refused as any other
+/// non-number is, naming its column and line, with or without
+/// surrounding whitespace.
+#[test]
+fn non_finite_numeric_cells_are_refused_at_their_line() {
+    for cell in NON_FINITE {
+        for padded in [cell.to_string(), format!(" {cell} ")] {
+            let text = format!("age,job,income\n25,clerk,low\n{padded},cook,high\n");
+            match read_csv(Cursor::new(text), &KINDS, DEFAULT_MISSING_TOKENS) {
+                Err(Error::Csv { line: 3, message }) => assert!(
+                    message.starts_with(&format!("column age: `{cell}` ")),
+                    "{message}"
+                ),
+                other => panic!("{cell:?}: {other:?}"),
+            }
+        }
+    }
+}
+
+/// `write_csv` refuses a non-finite number at the line it would occupy,
+/// so everything it writes reads back.
+#[test]
+fn non_finite_numbers_are_not_written() {
+    for v in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -f64::NAN] {
+        let frame = DataFrame::new()
+            .with_column("age", Column::from_optional_f64([Some(1.5), None, Some(v)]))
+            .unwrap();
+        let mut out = Vec::new();
+        match write_csv(&frame, &mut out) {
+            Err(Error::Csv { line: 4, message }) => {
+                assert!(message.starts_with("column age: "), "{message}");
+            }
+            other => panic!("{v}: {other:?}"),
+        }
+        assert_eq!(String::from_utf8(out).unwrap(), "age\n1.5\n\n");
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(300))]
 
@@ -88,10 +150,12 @@ proptest! {
     }
 
     /// One to three edits of the valid file: truncation at any byte, or an
-    /// inserted quote, CR, LF, comma, or invalid UTF-8 sequence.
+    /// inserted quote, CR, LF, comma, invalid UTF-8 sequence, or spelling
+    /// of a non-finite number.
     #[test]
     fn mutated_valid_file_gives_a_frame_or_a_typed_error(
-        edits in prop::collection::vec((0_usize..6, 0_usize..=VALID.len()), 1..=3),
+        edits in prop::collection::vec((0_usize..7, 0_usize..=VALID.len()), 1..=3),
+        non_finite in 0_usize..NON_FINITE.len(),
     ) {
         let mut bytes = VALID.to_vec();
         for (kind, at) in edits {
@@ -105,7 +169,8 @@ proptest! {
                 2 => b"\r",
                 3 => b"\n",
                 4 => b",",
-                _ => b"\xc3",
+                5 => b"\xc3",
+                _ => NON_FINITE[non_finite].as_bytes(),
             };
             bytes.splice(at..at, insert.iter().copied());
         }

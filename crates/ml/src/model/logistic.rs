@@ -10,6 +10,11 @@
 //! protected against unscaled features: gradient magnitudes grow with the
 //! feature scale, and wildly-scaled inputs make training diverge. This is
 //! exactly the failure mode §5.2 / Figure 3 of the paper studies.
+//!
+//! [`fit_block`] fits up to [`BLOCK_WIDTH`] configurations that differ only
+//! in their penalty in one pass, each member bit-identical to its own
+//! [`LogisticRegressionSgd::fit`]; cross-validated search fits the paper's
+//! grid that way.
 
 use rand::seq::SliceRandom;
 
@@ -100,26 +105,33 @@ impl LogisticRegressionSgd {
     }
 
     fn validate(&self) -> Result<()> {
-        let c = &self.config;
-        if !(c.alpha.is_finite() && c.alpha >= 0.0) {
+        self.config.check()
+    }
+}
+
+impl LogisticRegressionConfig {
+    /// Rejects the configurations [`LogisticRegressionSgd::fit`] refuses,
+    /// with the same error.
+    pub(crate) fn check(&self) -> Result<()> {
+        if !(self.alpha.is_finite() && self.alpha >= 0.0) {
             return Err(Error::InvalidParameter {
                 name: "alpha",
-                message: format!("{} must be finite and >= 0", c.alpha),
+                message: format!("{} must be finite and >= 0", self.alpha),
             });
         }
-        if !(c.eta0.is_finite() && c.eta0 > 0.0) {
+        if !(self.eta0.is_finite() && self.eta0 > 0.0) {
             return Err(Error::InvalidParameter {
                 name: "eta0",
-                message: format!("{} must be finite and > 0", c.eta0),
+                message: format!("{} must be finite and > 0", self.eta0),
             });
         }
-        if c.max_epochs == 0 {
+        if self.max_epochs == 0 {
             return Err(Error::InvalidParameter {
                 name: "max_epochs",
                 message: "must be >= 1".to_string(),
             });
         }
-        if let Penalty::ElasticNet { l1_ratio } = c.penalty {
+        if let Penalty::ElasticNet { l1_ratio } = self.penalty {
             if !(0.0..=1.0).contains(&l1_ratio) {
                 return Err(Error::InvalidParameter {
                     name: "l1_ratio",
@@ -128,6 +140,33 @@ impl LogisticRegressionSgd {
             }
         }
         Ok(())
+    }
+
+    /// The `(l1, l2)` strengths of one SGD step, split from `alpha` as
+    /// [`LogisticRegressionSgd::fit`] splits them.
+    #[must_use]
+    pub(crate) fn penalty_strengths(&self) -> (f64, f64) {
+        match self.penalty {
+            Penalty::None => (0.0, 0.0),
+            Penalty::L1 => (self.alpha, 0.0),
+            Penalty::L2 => (0.0, self.alpha),
+            Penalty::ElasticNet { l1_ratio } => {
+                (self.alpha * l1_ratio, self.alpha * (1.0 - l1_ratio))
+            }
+        }
+    }
+
+    /// Whether [`fit_block`] can fit `self` and `other` together: they
+    /// agree, bit for bit, on everything that sets the shuffle and the
+    /// step sizes (`eta0`, `power_t`, `max_epochs`, `fit_intercept`), and
+    /// on whether the step has an `l1` term at all.
+    #[must_use]
+    pub fn shares_block_with(&self, other: &Self) -> bool {
+        self.eta0.to_bits() == other.eta0.to_bits()
+            && self.power_t.to_bits() == other.power_t.to_bits()
+            && self.max_epochs == other.max_epochs
+            && self.fit_intercept == other.fit_intercept
+            && (self.penalty_strengths().0 > 0.0) == (other.penalty_strengths().0 > 0.0)
     }
 }
 
@@ -200,6 +239,155 @@ impl Classifier for LogisticRegressionSgd {
             weights: w,
             intercept: b,
         }))
+    }
+
+    fn logistic_config(&self) -> Option<LogisticRegressionConfig> {
+        Some(self.config.clone())
+    }
+}
+
+/// Members of one [`fit_block`]. Each feature's weights sit side by side,
+/// one per member, so every step's products, sums and updates run across
+/// the members in vector registers.
+pub const BLOCK_WIDTH: usize = 4;
+
+/// One value per block member.
+type Lanes = [f64; BLOCK_WIDTH];
+
+/// Fits every configuration of `configs` on `(x, y, weights)` with `seed`
+/// in one pass and returns the models in order; each equals the model
+/// [`LogisticRegressionSgd::fit`] trains for it, bit for bit.
+///
+/// Members that [share a block](LogisticRegressionConfig::shares_block_with)
+/// draw the same shuffle and the same step sizes, so one shuffle, one
+/// `powf` per step and one row read serve them all. Their weights are
+/// stored member-minor (`[[f64; 4]; d]`) and each member keeps `fit`'s
+/// arithmetic: [`dot`]'s reduction tree `(a0+a1)+(a2+a3)+tail` then `+ b`,
+/// [`sigmoid`], and [`sgd_step`]'s update. A block with fewer than
+/// [`BLOCK_WIDTH`] members fills the rest with copies of its last member
+/// and drops their results.
+///
+/// Refuses, with the error `fit` would give, an invalid configuration or
+/// invalid training inputs, and with [`Error::InvalidParameter`] an empty
+/// block, more than [`BLOCK_WIDTH`] members, or members that do not share
+/// a block.
+pub fn fit_block(
+    configs: &[LogisticRegressionConfig],
+    x: &Matrix,
+    y: &[f64],
+    weights: &[f64],
+    seed: u64,
+) -> Result<Vec<FittedLogisticRegression>> {
+    let Some(last) = configs.last() else {
+        return Err(Error::InvalidParameter {
+            name: "block",
+            message: "no configuration to fit".to_string(),
+        });
+    };
+    if configs.len() > BLOCK_WIDTH || configs.iter().any(|c| !c.shares_block_with(last)) {
+        return Err(Error::InvalidParameter {
+            name: "block",
+            message: format!(
+                "{} configurations that do not share a block of {BLOCK_WIDTH}",
+                configs.len()
+            ),
+        });
+    }
+    for config in configs {
+        config.check()?;
+    }
+    validate_training_inputs(x, y, weights)?;
+    let lane = |c: usize| configs.get(c).unwrap_or(last).penalty_strengths();
+    let l1: Lanes = std::array::from_fn(|c| lane(c).0);
+    let l2: Lanes = std::array::from_fn(|c| lane(c).1);
+    let has_l1 = last.penalty_strengths().0 > 0.0;
+
+    let mut w = vec![[0.0_f64; BLOCK_WIDTH]; x.n_cols()];
+    let mut b = [0.0_f64; BLOCK_WIDTH];
+    let mut order: Vec<usize> = (0..x.n_rows()).collect();
+    let mut rng = component_rng(seed, "learner/logistic_sgd");
+    let mut t: u64 = 0;
+    for _epoch in 0..last.max_epochs {
+        order.shuffle(&mut rng);
+        for (k, &i) in order.iter().enumerate() {
+            if let Some(&ahead) = order.get(k + SGD_PREFETCH_AHEAD) {
+                x.prefetch_row(ahead);
+            }
+            t += 1;
+            #[allow(clippy::cast_precision_loss)]
+            let eta = last.eta0 / (t as f64).powf(last.power_t);
+            let row = x.row(i);
+            let z = block_dot(&w, row);
+            let g: Lanes = std::array::from_fn(|c| weights[i] * (sigmoid(z[c] + b[c]) - y[i]));
+            if has_l1 {
+                block_step::<true>(&mut w, row, &g, eta, &l1, &l2);
+            } else {
+                block_step::<false>(&mut w, row, &g, eta, &l1, &l2);
+            }
+            if last.fit_intercept {
+                for (bc, gc) in b.iter_mut().zip(g) {
+                    *bc -= eta * gc;
+                }
+            }
+        }
+    }
+    Ok((0..configs.len())
+        .map(|c| FittedLogisticRegression {
+            weights: w.iter().map(|wj| wj[c]).collect(),
+            intercept: b[c],
+        })
+        .collect())
+}
+
+/// Every member's [`dot`] of its weights with `row`: four accumulators per
+/// member, accumulator `j` summing the products of the features with index
+/// ≡ `j` (mod 4) in ascending order, combined as `(a0+a1)+(a2+a3)+tail`.
+#[inline]
+fn block_dot(w: &[Lanes], row: &[f64]) -> Lanes {
+    let quads = row.len() - row.len() % 4;
+    let (w4, w_tail) = w.split_at(quads);
+    let (row4, row_tail) = row.split_at(quads);
+    let mut acc = [[0.0_f64; BLOCK_WIDTH]; 4];
+    for (ws, xs) in w4.chunks_exact(4).zip(row4.chunks_exact(4)) {
+        for ((acc_j, w_j), &x_j) in acc.iter_mut().zip(ws).zip(xs) {
+            for (a, &wc) in acc_j.iter_mut().zip(w_j) {
+                *a += wc * x_j;
+            }
+        }
+    }
+    let mut tail = [0.0_f64; BLOCK_WIDTH];
+    for (w_j, &x_j) in w_tail.iter().zip(row_tail) {
+        for (a, &wc) in tail.iter_mut().zip(w_j) {
+            *a += wc * x_j;
+        }
+    }
+    let [a0, a1, a2, a3] = acc;
+    std::array::from_fn(|c| (a0[c] + a1[c]) + (a2[c] + a3[c]) + tail[c])
+}
+
+/// Every member's [`sgd_step`]: `w -= eta * (g * x + l2 * w)`, plus
+/// `l1 * signum(w)` inside the parentheses when `L1`. A member with
+/// `l1 == 0` must not take the `L1` form, because `sgd_step` adds no term
+/// for it and `+ 0.0 * signum(w)` is not a no-op: it turns a `-0.0`
+/// gradient into `+0.0`, and beside a NaN gradient it adds a second NaN
+/// whose payload the hardware may return instead.
+#[inline]
+fn block_step<const L1: bool>(
+    w: &mut [Lanes],
+    row: &[f64],
+    g: &Lanes,
+    eta: f64,
+    l1: &Lanes,
+    l2: &Lanes,
+) {
+    for (w_j, &x_j) in w.iter_mut().zip(row) {
+        for (((wc, gc), l1c), l2c) in w_j.iter_mut().zip(g).zip(l1).zip(l2) {
+            let mut grad = gc * x_j + l2c * *wc;
+            if L1 {
+                grad += l1c * wc.signum();
+            }
+            *wc -= eta * grad;
+        }
     }
 }
 

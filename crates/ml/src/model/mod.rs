@@ -48,6 +48,14 @@ pub trait Classifier: Send + Sync {
     fn tree_config(&self) -> Option<DecisionTreeConfig> {
         None
     }
+
+    /// The configuration of a [`LogisticRegressionSgd`] candidate, `None`
+    /// for every other model. Cross-validated search uses it to fit
+    /// candidates that differ only in their penalty together, in blocks of
+    /// [`logistic::BLOCK_WIDTH`] (see [`logistic::fit_block`]).
+    fn logistic_config(&self) -> Option<LogisticRegressionConfig> {
+        None
+    }
 }
 
 /// A trained model.

@@ -7,7 +7,7 @@
 //! by mean validation-fold accuracy, and refits the winning candidate on
 //! the full training data.
 //!
-//! Three properties make the search fast without changing its results:
+//! Four properties make the search fast without changing its results:
 //!
 //! * **Shared fold cache.** Folds are derived from the seed alone, so every
 //!   candidate sees identical folds. [`FoldCache`] materializes each fold's
@@ -22,12 +22,19 @@
 //!   equals the member's own fit node for node. The paper's 72-candidate
 //!   grid takes 40 tree builds at k = 5 instead of 360; the fold counters
 //!   still count candidate×fold evaluations.
-//! * **Deterministic parallel fan-out.** Fit jobs, one per (family, fold)
-//!   and one per (candidate, fold) for every other candidate, run on
-//!   [`fairprep_data::parallel::parallel_map`], which returns results in
-//!   submission order; every fit derives its randomness from the search
-//!   seed, so any thread budget produces bit-identical scores and the same
-//!   winner as the sequential path.
+//! * **Logistic candidates in lockstep blocks.** Every candidate is fitted
+//!   with the search seed, so logistic candidates that agree on `eta0`,
+//!   `power_t`, `max_epochs`, `fit_intercept` and on having an `l1` term
+//!   draw the same shuffle and step sizes. Three or four of them form a
+//!   block that each fold fits in one pass ([`fit_block`]), each member
+//!   equal to its own fit bit for bit. The paper's 12-candidate grid takes 15 fit
+//!   jobs at k = 5 instead of 60.
+//! * **Deterministic parallel fan-out.** Fit jobs, one per (family, fold),
+//!   one per (block, fold) and one per (candidate, fold) for every other
+//!   candidate, run on [`fairprep_data::parallel::parallel_map`], which
+//!   returns results in submission order; every fit derives its randomness
+//!   from the search seed, so any thread budget produces bit-identical
+//!   scores and the same winner as the sequential path.
 
 use std::cmp::Ordering;
 
@@ -38,7 +45,10 @@ use fairprep_trace::{Counter, Stage, Tracer};
 
 use crate::eval::ConfusionMatrix;
 use crate::matrix::Matrix;
-use crate::model::{Classifier, DecisionTree, DecisionTreeConfig, FittedClassifier};
+use crate::model::logistic::{fit_block, BLOCK_WIDTH};
+use crate::model::{
+    Classifier, DecisionTree, DecisionTreeConfig, FittedClassifier, LogisticRegressionConfig,
+};
 
 /// Per-candidate cross-validation outcome.
 #[derive(Debug, Clone)]
@@ -144,6 +154,21 @@ impl FoldCache {
         }
     }
 
+    /// Fits `block`'s members in lockstep on one fold's training part and
+    /// returns each member's validation accuracy, in member order.
+    fn score_block_fold(&self, block: &LogisticBlock, fold: usize, seed: u64) -> Vec<Result<f64>> {
+        let f = &self.folds[fold];
+        match fit_block(&block.configs, &f.x_train, &f.y_train, &f.w_train, seed) {
+            Ok(models) => models
+                .iter()
+                .map(|model| self.accuracy(model, fold))
+                .collect(),
+            // Every member is valid, so only the training inputs can fail
+            // the block, and each member's own fit would fail the same way.
+            Err(e) => block.configs.iter().map(|_| Err(e.clone())).collect(),
+        }
+    }
+
     /// Validation accuracy of `model` on one fold.
     fn accuracy(&self, model: &dyn FittedClassifier, fold: usize) -> Result<f64> {
         let f = &self.folds[fold];
@@ -164,6 +189,23 @@ struct TreeFamily {
     members: Vec<(usize, DecisionTreeConfig)>,
 }
 
+/// [`MIN_BLOCK`] to [`BLOCK_WIDTH`] valid logistic candidates that
+/// [share a block](LogisticRegressionConfig::shares_block_with): each fold
+/// fits them in one pass ([`fit_block`]), which equals fitting each member
+/// on its own.
+struct LogisticBlock {
+    /// Each member's position in the selected list.
+    slots: Vec<usize>,
+    /// Each member's configuration, in the same order.
+    configs: Vec<LogisticRegressionConfig>,
+}
+
+/// The fewest members a [`LogisticBlock`] has. [`fit_block`] computes all
+/// [`BLOCK_WIDTH`] lanes whatever its fill, about 2.5 single fits' work on
+/// a german fold, so a block pays off from three members; the members of
+/// a smaller one are fitted on their own.
+const MIN_BLOCK: usize = 3;
+
 /// What one fit job fits on its fold.
 #[derive(Clone, Copy)]
 enum FitJob<'a> {
@@ -171,19 +213,49 @@ enum FitJob<'a> {
     Candidate(usize),
     /// Every member of a tree family, from one grown tree.
     Family(&'a TreeFamily),
+    /// Every member of a logistic block, in lockstep.
+    Block(&'a LogisticBlock),
 }
 
-/// Groups the selected tree candidates into families and returns them with
-/// the positions of the candidates that are fitted on their own: every
-/// other model, and trees whose configuration `fit_tree` rejects, so that
-/// they fail with its error and their family does not.
-fn plan_fits(
-    candidates: &[Box<dyn Classifier>],
-    selected: &[usize],
-) -> (Vec<TreeFamily>, Vec<usize>) {
+/// How the selected candidates are fitted.
+struct Plan {
+    families: Vec<TreeFamily>,
+    blocks: Vec<LogisticBlock>,
+    /// Positions of the candidates fitted on their own.
+    alone: Vec<usize>,
+}
+
+/// Groups the selected tree candidates into families and the selected
+/// logistic candidates into blocks. Every other model is fitted on its
+/// own, and so is a tree or logistic configuration its own fit rejects, so
+/// that it fails with that fit's error and its family or block does not.
+fn plan_fits(candidates: &[Box<dyn Classifier>], selected: &[usize]) -> Plan {
     let mut families: Vec<TreeFamily> = Vec::new();
+    let mut blocks: Vec<LogisticBlock> = Vec::new();
     let mut alone = Vec::new();
     for (slot, &candidate) in selected.iter().enumerate() {
+        if let Some(config) = candidates[candidate]
+            .logistic_config()
+            .filter(|c| c.check().is_ok())
+        {
+            let open = blocks.iter_mut().find(|b| {
+                b.configs.len() < BLOCK_WIDTH
+                    && b.configs
+                        .first()
+                        .is_some_and(|c| c.shares_block_with(&config))
+            });
+            match open {
+                Some(block) => {
+                    block.slots.push(slot);
+                    block.configs.push(config);
+                }
+                None => blocks.push(LogisticBlock {
+                    slots: vec![slot],
+                    configs: vec![config],
+                }),
+            }
+            continue;
+        }
         let Some(config) = candidates[candidate]
             .tree_config()
             .filter(|c| c.check().is_ok())
@@ -208,7 +280,14 @@ fn plan_fits(
             }),
         }
     }
-    (families, alone)
+    let (blocks, small): (Vec<_>, Vec<_>) =
+        blocks.into_iter().partition(|b| b.slots.len() >= MIN_BLOCK);
+    alone.extend(small.into_iter().flat_map(|b| b.slots));
+    Plan {
+        families,
+        blocks,
+        alone,
+    }
 }
 
 /// Compares two mean scores, ranking NaN strictly below every real score
@@ -411,10 +490,11 @@ fn score_candidates_on_cache(
 }
 
 /// Each selected candidate's fold scores, in `selected` order; a
-/// candidate's `Err` is its first failing fold's error. Tree families run
-/// as one job per (family, fold) and every other candidate as one job per
-/// (candidate, fold); the scores are scattered back into candidate×fold
-/// order, so the result does not depend on the plan or the thread budget.
+/// candidate's `Err` is its first failing fold's error. Tree families and
+/// logistic blocks run as one job per (family or block, fold) and every
+/// other candidate as one job per (candidate, fold); the scores are
+/// scattered back into candidate×fold order, so the result does not
+/// depend on the plan or the thread budget.
 fn candidate_fold_scores(
     candidates: &[Box<dyn Classifier>],
     cache: &FoldCache,
@@ -423,13 +503,15 @@ fn candidate_fold_scores(
     threads: usize,
 ) -> Vec<Result<Vec<f64>>> {
     let k = cache.len();
-    let (families, alone) = plan_fits(candidates, selected);
-    // Family jobs first: they are the largest, so idle workers pick up the
-    // small ones at the end.
-    let jobs: Vec<(FitJob<'_>, usize)> = families
+    let plan = plan_fits(candidates, selected);
+    // Family and block jobs first: they are the largest, so idle workers
+    // pick up the small ones at the end.
+    let jobs: Vec<(FitJob<'_>, usize)> = plan
+        .families
         .iter()
         .map(FitJob::Family)
-        .chain(alone.into_iter().map(FitJob::Candidate))
+        .chain(plan.blocks.iter().map(FitJob::Block))
+        .chain(plan.alone.iter().copied().map(FitJob::Candidate))
         .flat_map(|job| (0..k).map(move |fold| (job, fold)))
         .collect();
     // Every job scores its candidates on one fold and each candidate's
@@ -448,6 +530,12 @@ fn candidate_fold_scores(
             .map(|&(slot, _)| slot)
             .zip(cache.score_family_fold(family, fold))
             .collect(),
+        FitJob::Block(block) => block
+            .slots
+            .iter()
+            .copied()
+            .zip(cache.score_block_fold(block, fold, seed))
+            .collect(),
     });
     for (slot, score) in scored.into_iter().flatten() {
         per_candidate[slot].push(score);
@@ -461,7 +549,7 @@ fn candidate_fold_scores(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::{LogisticRegressionSgd, SplitCriterion};
+    use crate::model::{LogisticRegressionSgd, Penalty, SplitCriterion};
     use crate::selection::{decision_tree_grid, logistic_regression_grid};
 
     /// y = 1 iff x0 > 0.5; one candidate can learn it (depth 2), one cannot
@@ -704,6 +792,28 @@ mod tests {
         (Matrix::from_rows(&rows).unwrap(), y, w)
     }
 
+    /// 120 rows of 24 features at scales 1 to 16, three of them weakly
+    /// informative, and a noisy target, so that every penalty and strength
+    /// of the paper's grid scores differently; reweighing-style weights.
+    fn logistic_data() -> (Matrix, Vec<f64>, Vec<f64>) {
+        let cell_weights = [0.8125, 1.3, 0.95, 1.0714285714285714];
+        let (mut rows, mut y, mut w) = (Vec::new(), Vec::new(), Vec::new());
+        for i in 0..120_u32 {
+            let row: Vec<f64> = (0..24_u32)
+                .map(|j| {
+                    let scale = f64::from(1 << (j % 5));
+                    (f64::from(i * (j + 3) + j * j) * 0.618_034).sin() * scale
+                })
+                .collect();
+            let noise = (f64::from(i) * std::f64::consts::E).cos() * 0.6;
+            let label = u32::from(0.2 * (row[0] + 0.5 * row[1] - 0.3 * row[2]) + noise > 0.1);
+            y.push(f64::from(label));
+            w.push(cell_weights[(2 * (i % 2) + label) as usize]);
+            rows.push(row);
+        }
+        (Matrix::from_rows(&rows).unwrap(), y, w)
+    }
+
     fn tree(
         criterion: SplitCriterion,
         max_depth: Option<usize>,
@@ -718,13 +828,33 @@ mod tests {
         }))
     }
 
+    fn lr(config: LogisticRegressionConfig) -> Box<dyn Classifier> {
+        Box::new(LogisticRegressionSgd::new(config))
+    }
+
+    fn lr_penalty(penalty: Penalty, alpha: f64) -> Box<dyn Classifier> {
+        lr(LogisticRegressionConfig {
+            penalty,
+            alpha,
+            ..LogisticRegressionConfig::default()
+        })
+    }
+
     /// Position of the rejected tree in [`mixed_candidates`].
     const REJECTED: usize = 3;
+    /// Position of the rejected logistic model in [`mixed_candidates`].
+    const REJECTED_LR: usize = 13;
 
-    /// A logistic model, trees from two families, and a tree that
-    /// `fit_tree` rejects (`min_samples_split: 1`) inside the first family.
+    /// Trees from two families with a tree that `fit_tree` rejects
+    /// (`min_samples_split: 1`) inside the first, and logistic models: two
+    /// blocks of three (positions 0, 12, 14 without an `l1` term; 7, 15, 17
+    /// with one), two that share a block too small to pay off (8, 16 at
+    /// another `eta0`), three that share no block (another `max_epochs`,
+    /// no intercept, another `power_t`), and one that `fit` rejects
+    /// (`alpha: -1.0`) beside the first block.
     fn mixed_candidates() -> Vec<Box<dyn Classifier>> {
         use SplitCriterion::{Entropy, Gini};
+        let base = LogisticRegressionConfig::default;
         vec![
             Box::new(LogisticRegressionSgd::default()),
             tree(Gini, Some(3), 2, 5),
@@ -733,6 +863,34 @@ mod tests {
             tree(Gini, None, 2, 10),
             tree(Gini, Some(10), 2, 2),
             tree(Entropy, Some(1), 1, 5),
+            lr_penalty(Penalty::L1, 1e-3),
+            lr(LogisticRegressionConfig {
+                eta0: 0.05,
+                ..base()
+            }),
+            lr(LogisticRegressionConfig {
+                max_epochs: 5,
+                ..base()
+            }),
+            lr(LogisticRegressionConfig {
+                fit_intercept: false,
+                ..base()
+            }),
+            lr(LogisticRegressionConfig {
+                power_t: 0.5,
+                ..base()
+            }),
+            lr_penalty(Penalty::None, 0.0),
+            lr_penalty(Penalty::L2, -1.0),
+            // `l1 = 0`: no `l1` term, so it joins the first block.
+            lr_penalty(Penalty::ElasticNet { l1_ratio: 0.0 }, 5e-3),
+            lr_penalty(Penalty::ElasticNet { l1_ratio: 0.5 }, 1e-3),
+            lr(LogisticRegressionConfig {
+                eta0: 0.05,
+                alpha: 1e-3,
+                ..base()
+            }),
+            lr_penalty(Penalty::L1, 5e-5),
         ]
     }
 
@@ -804,19 +962,69 @@ mod tests {
         }
     }
 
-    /// On a mixed list the tree `fit_tree` rejects fails with its own
-    /// error while the rest of its family scores as if fitted alone.
+    /// Both searches, at 1 and 4 threads, score the paper's logistic grid
+    /// bit for bit as one fit per candidate and fold does, and count
+    /// candidate×fold evaluations as before.
     #[test]
-    fn rejected_tree_fails_alone_and_spares_its_family() {
+    fn logistic_grid_scores_match_single_candidate_fits() {
+        let data = logistic_data();
+        let (x, y, w) = &data;
+        let grid = logistic_regression_grid();
+        let plan = plan_fits(&grid, &candidate_indices(&grid));
+        let blocks: Vec<&[usize]> = plan.blocks.iter().map(|b| b.slots.as_slice()).collect();
+        assert_eq!(blocks, [&[0, 1, 2, 3][..], &[4, 5, 6, 7], &[8, 9, 10, 11]]);
+        let alone = scored_alone(&grid, &data);
+        let mut distinct: Vec<Vec<u64>> = alone.iter().map(|f| bits(f.as_ref().unwrap())).collect();
+        distinct.sort_unstable();
+        distinct.dedup();
+        assert_eq!(distinct.len(), 12, "candidates that score alike");
+        for threads in [1, 4] {
+            let t = Tracer::enabled();
+            let full = GridSearchCv::new(5)
+                .with_threads(threads)
+                .search_traced(&grid, x, y, w, SEED, &t)
+                .unwrap();
+            assert_eq!(full.scores.len(), 12);
+            assert_eq!(t.counter(Counter::FoldsEvaluated), 60);
+            assert_eq!(t.counter(Counter::FoldCacheHits), 55);
+            assert_scored_as_alone(&full.scores, &alone);
+            let sampled = RandomizedSearchCv::new(5, 7)
+                .with_threads(threads)
+                .search(&grid, x, y, w, SEED)
+                .unwrap();
+            assert_eq!(sampled.scores.len(), 7);
+            assert_scored_as_alone(&sampled.scores, &alone);
+        }
+    }
+
+    /// On a mixed list the tree `fit_tree` rejects and the logistic model
+    /// `fit` rejects fail with their own errors, while the rest of their
+    /// family or block scores as if fitted alone.
+    #[test]
+    fn rejected_candidates_fail_alone_and_spare_their_families_and_blocks() {
         let data = tree_data();
         let (x, y, w) = &data;
         let mixed = mixed_candidates();
         let alone = scored_alone(&mixed, &data);
         let rejected = alone[REJECTED].clone().unwrap_err();
         assert!(matches!(rejected, Error::InvalidParameter { .. }));
+        let rejected_lr = alone[REJECTED_LR].clone().unwrap_err();
+        assert!(matches!(
+            rejected_lr,
+            Error::InvalidParameter { name: "alpha", .. }
+        ));
+        let plan = plan_fits(&mixed, &candidate_indices(&mixed));
+        let blocks: Vec<&[usize]> = plan.blocks.iter().map(|b| b.slots.as_slice()).collect();
+        assert_eq!(blocks, [&[0, 12, 14][..], &[7, 15, 17]]);
+        let mut lone = plan.alone.clone();
+        lone.sort_unstable();
+        assert_eq!(lone, [3, 8, 9, 10, 11, 13, 16]);
         let cache = FoldCache::build(x, y, w, 5, SEED).unwrap();
         // Every candidate, and a sorted subset as RandomizedSearchCv samples.
-        for selected in [candidate_indices(&mixed), vec![1, 3, 6]] {
+        for selected in [
+            candidate_indices(&mixed),
+            vec![1, 3, 6, 7, 8, 12, 13, 15, 16, 17],
+        ] {
             for threads in [1, 4] {
                 let got = candidate_fold_scores(&mixed, &cache, &selected, SEED, threads);
                 for (got, &c) in got.iter().zip(&selected) {
@@ -832,7 +1040,9 @@ mod tests {
         let valid: Vec<Box<dyn Classifier>> = mixed_candidates()
             .into_iter()
             .enumerate()
-            .filter_map(|(c, candidate)| (c != REJECTED).then_some(candidate))
+            .filter_map(|(c, candidate)| {
+                (![REJECTED, REJECTED_LR].contains(&c)).then_some(candidate)
+            })
             .collect();
         let valid_alone = scored_alone(&valid, &data);
         for threads in [1, 4] {
@@ -844,11 +1054,24 @@ mod tests {
                     .with_threads(threads)
                     .search(&mixed, x, y, w, SEED),
             ];
+            // The first rejected candidate in list order fails the search.
             for outcome in searches {
                 match outcome {
                     Err(e) => assert_eq!(e, rejected),
                     Ok(_) => panic!("the rejected tree did not fail the search"),
                 }
+            }
+            let without_tree: Vec<Box<dyn Classifier>> = mixed_candidates()
+                .into_iter()
+                .enumerate()
+                .filter_map(|(c, candidate)| (c != REJECTED).then_some(candidate))
+                .collect();
+            match GridSearchCv::new(5)
+                .with_threads(threads)
+                .search(&without_tree, x, y, w, SEED)
+            {
+                Err(e) => assert_eq!(e, rejected_lr),
+                Ok(_) => panic!("the rejected logistic model did not fail the search"),
             }
             let full = GridSearchCv::new(5)
                 .with_threads(threads)
