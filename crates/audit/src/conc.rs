@@ -12,10 +12,9 @@
 //! * **`alloc-in-kernel`** — `fairprep_ml::kernels` and functions marked
 //!   `// audit: hot-path` (the frame builder's row push, the profile's
 //!   quantile and the telemetry record functions) are the allocation-
-//!   and lock-free core measured by `results/BENCH_kernels.json`,
-//!   `results/BENCH_telemetry.json` and perfbench's `data.ingest`;
+//!   and lock-free core that perfbench's workloads run on every row;
 //!   `Vec::new`, `.to_vec()`, `.collect()`, `format!`, `vec!`,
-//!   `Box::new`, and `.lock()` there would silently regress those wins.
+//!   `Box::new`, and `.lock()` there would silently slow them down.
 
 use crate::lexer::TokenKind;
 use crate::lints::{Diagnostic, FileAnalysis};
@@ -335,10 +334,9 @@ fn check_alloc_in_kernel(analysis: &FileAnalysis<'_>, raw: &mut Vec<Diagnostic>)
                     format!(
                         "`{what}` in hot-path fn `{}` — the kernel and telemetry \
                          record layers are allocation- and lock-free by \
-                         construction (see results/BENCH_kernels.json and \
-                         results/BENCH_telemetry.json); take an output slice, \
-                         reuse a caller-owned buffer, or record through \
-                         relaxed atomics",
+                         construction (perfbench runs them on every row); \
+                         take an output slice, reuse a caller-owned buffer, \
+                         or record through relaxed atomics",
                         f.name
                     ),
                 ));

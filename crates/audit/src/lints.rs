@@ -1183,7 +1183,7 @@ mod tests {
         assert_eq!(lint_ids(SEEDED, src), vec!["unsafe-safety-comment"]);
         assert_eq!(lint_ids("src/lib.rs", src), vec!["unsafe-safety-comment"]);
         // Binaries and benches (allocator shims, libc calls) are exempt.
-        assert!(lint_ids("crates/bench/src/bin/bench_kernels.rs", src).is_empty());
+        assert!(lint_ids("crates/bench/src/bin/fig2_tuning.rs", src).is_empty());
         assert!(lint_ids("perfbench/benches/sys.rs", src).is_empty());
         let commented = "fn f(p: &u8) -> u8 {\n    // SAFETY: from a reference.\n    unsafe { *std::ptr::from_ref(p) }\n}";
         assert!(lint_ids(SEEDED, commented).is_empty());

@@ -15,7 +15,8 @@
 
 use std::io::Write;
 
-use fairprep_bench::{fmt_summary, paper_seeds, summarize, HarnessArgs, ScatterPlot};
+use fairprep_bench::{fmt_summary, paper_seeds, HarnessArgs, ScatterPlot};
+use fairprep_core::aggregate::MetricDistribution;
 use fairprep_core::experiment::{Experiment, ExperimentBuilder};
 use fairprep_core::learners::{InProcessLearner, LogisticRegressionLearner};
 use fairprep_core::runner::{run_parallel, Job};
@@ -158,8 +159,8 @@ fn main() {
         println!(
             "{:<28} {:<30} {:<30}",
             intervention,
-            fmt_summary(&summarize(&acc)),
-            fmt_summary(&summarize(&di))
+            fmt_summary(&MetricDistribution::from_values(&acc)),
+            fmt_summary(&MetricDistribution::from_values(&di))
         );
     }
 

@@ -20,7 +20,8 @@
 
 use std::io::Write;
 
-use fairprep_bench::{fmt_summary, paper_seeds, summarize, HarnessArgs};
+use fairprep_bench::{fmt_summary, paper_seeds, HarnessArgs};
+use fairprep_core::aggregate::MetricDistribution;
 use fairprep_core::experiment::Experiment;
 use fairprep_core::learners::{DecisionTreeLearner, Learner, LogisticRegressionLearner};
 use fairprep_core::results::RunResult;
@@ -155,10 +156,12 @@ fn main() {
                     .map(|r| r.test_report.differences.false_positive_rate_difference)
                     .collect();
                 let label = if tuned { "tuning   " } else { "no tuning" };
-                println!("    {label} acc  {}", fmt_summary(&summarize(&acc)));
-                println!("    {label} DI   {}", fmt_summary(&summarize(&di)));
-                println!("    {label} FNRD {}", fmt_summary(&summarize(&fnrd)));
-                println!("    {label} FPRD {}", fmt_summary(&summarize(&fprd)));
+                for (metric, values) in
+                    [("acc ", acc), ("DI  ", di), ("FNRD", fnrd), ("FPRD", fprd)]
+                {
+                    let summary = fmt_summary(&MetricDistribution::from_values(&values));
+                    println!("    {label} {metric} {summary}");
+                }
             }
         }
         println!();
@@ -211,7 +214,9 @@ fn main() {
             };
             let acc = |r: &RunResult| r.test_report.overall.accuracy;
             panels += 1;
-            if summarize(&series(true, &acc)).mean >= summarize(&series(false, &acc)).mean {
+            if MetricDistribution::from_values(&series(true, &acc)).mean
+                >= MetricDistribution::from_values(&series(false, &acc)).mean
+            {
                 tuned_acc_higher += 1;
             }
             let fairness_metrics: [&dyn Fn(&RunResult) -> f64; 3] = [
@@ -221,7 +226,10 @@ fn main() {
             ];
             let lower = fairness_metrics
                 .iter()
-                .filter(|f| summarize(&series(true, **f)).std <= summarize(&series(false, **f)).std)
+                .filter(|f| {
+                    MetricDistribution::from_values(&series(true, **f)).std
+                        <= MetricDistribution::from_values(&series(false, **f)).std
+                })
                 .count();
             if lower >= 2 {
                 tuned_var_lower += 1;

@@ -17,7 +17,8 @@
 
 use std::io::Write;
 
-use fairprep_bench::{fmt_summary, paper_seeds, summarize, HarnessArgs};
+use fairprep_bench::{fmt_summary, paper_seeds, HarnessArgs};
+use fairprep_core::aggregate::MetricDistribution;
 use fairprep_core::experiment::Experiment;
 use fairprep_core::learners::{DecisionTreeLearner, Learner, LogisticRegressionLearner};
 use fairprep_core::runner::{run_parallel, Job};
@@ -115,7 +116,7 @@ fn main() {
                 let label = if scaled { "scaling   " } else { "no scaling" };
                 println!(
                     "    {label} acc {}  (runs with acc < 0.5: {below_random}/{})",
-                    fmt_summary(&summarize(&accs)),
+                    fmt_summary(&MetricDistribution::from_values(&accs)),
                     accs.len()
                 );
             }
@@ -167,14 +168,16 @@ fn main() {
         "unscaled LR runs with accuracy < 50%: {lr_failures}/{} \
          (scaled LR mean acc {:.3} vs unscaled {:.3})",
         lr_unscaled.len(),
-        summarize(&lr_scaled).mean,
-        summarize(&lr_unscaled).mean,
+        MetricDistribution::from_values(&lr_scaled).mean,
+        MetricDistribution::from_values(&lr_unscaled).mean,
     );
     println!(
         "decision-tree robustness: scaled mean acc {:.3} vs unscaled {:.3} (gap {:.3})",
-        summarize(&dt_scaled).mean,
-        summarize(&dt_unscaled).mean,
-        (summarize(&dt_scaled).mean - summarize(&dt_unscaled).mean).abs(),
+        MetricDistribution::from_values(&dt_scaled).mean,
+        MetricDistribution::from_values(&dt_unscaled).mean,
+        (MetricDistribution::from_values(&dt_scaled).mean
+            - MetricDistribution::from_values(&dt_unscaled).mean)
+            .abs(),
     );
     println!("raw points: {}", path.display());
 }

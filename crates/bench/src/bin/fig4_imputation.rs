@@ -23,7 +23,8 @@
 
 use std::io::Write;
 
-use fairprep_bench::{fmt_summary, paper_seeds, summarize, HarnessArgs};
+use fairprep_bench::{fmt_summary, paper_seeds, HarnessArgs};
+use fairprep_core::aggregate::MetricDistribution;
 use fairprep_core::experiment::Experiment;
 use fairprep_core::learners::{DecisionTreeLearner, Learner, LogisticRegressionLearner};
 use fairprep_core::runner::{run_parallel, Job};
@@ -157,8 +158,8 @@ fn main() {
                 let imputed: Vec<f64> = mine.iter().map(|p| p.acc_imputed).collect();
                 println!(
                     "    {imputer:<12} complete {}  imputed {}",
-                    fmt_summary(&summarize(&complete)),
-                    fmt_summary(&summarize(&imputed)),
+                    fmt_summary(&MetricDistribution::from_values(&complete)),
+                    fmt_summary(&MetricDistribution::from_values(&imputed)),
                 );
             }
         }
@@ -217,8 +218,8 @@ fn main() {
     println!("--- headline (paper §5.3, Figure 4) ---");
     println!(
         "imputed-record accuracy {} vs complete-record accuracy {}",
-        fmt_summary(&summarize(&all_imputed)),
-        fmt_summary(&summarize(&all_complete)),
+        fmt_summary(&MetricDistribution::from_values(&all_imputed)),
+        fmt_summary(&MetricDistribution::from_values(&all_complete)),
     );
     println!(
         "runs where imputed records classify MORE accurately than complete: {imputed_higher}/{}",
@@ -226,9 +227,11 @@ fn main() {
     );
     println!(
         "mode vs model-based imputed accuracy: {:.3} vs {:.3} (|gap| {:.3} — expected small)",
-        summarize(&mode_acc).mean,
-        summarize(&mb_acc).mean,
-        (summarize(&mode_acc).mean - summarize(&mb_acc).mean).abs(),
+        MetricDistribution::from_values(&mode_acc).mean,
+        MetricDistribution::from_values(&mb_acc).mean,
+        (MetricDistribution::from_values(&mode_acc).mean
+            - MetricDistribution::from_values(&mb_acc).mean)
+            .abs(),
     );
     println!("raw points: {}", path.display());
 }

@@ -17,7 +17,8 @@
 
 use std::io::Write;
 
-use fairprep_bench::{fmt_summary, paper_seeds, summarize, HarnessArgs};
+use fairprep_bench::{fmt_summary, paper_seeds, HarnessArgs};
+use fairprep_core::aggregate::MetricDistribution;
 use fairprep_core::experiment::Experiment;
 use fairprep_core::learners::{DecisionTreeLearner, Learner, LogisticRegressionLearner};
 use fairprep_core::runner::{run_parallel, Job};
@@ -122,8 +123,8 @@ fn main() {
                 let di: Vec<f64> = mine.iter().map(|p| p.2).collect();
                 println!(
                     "    {strategy:<14} acc {}  DI {}",
-                    fmt_summary(&summarize(&acc)),
-                    fmt_summary(&summarize(&di)),
+                    fmt_summary(&MetricDistribution::from_values(&acc)),
+                    fmt_summary(&MetricDistribution::from_values(&di)),
                 );
             }
         }
@@ -159,10 +160,10 @@ fn main() {
             .map(|p| if pick == 0 { p.1 } else { p.2 })
             .collect()
     };
-    let cc_acc = summarize(&by_strategy("complete_case", 0));
-    let mb_acc = summarize(&by_strategy("model_based", 0));
-    let cc_di = summarize(&by_strategy("complete_case", 1));
-    let mb_di = summarize(&by_strategy("model_based", 1));
+    let cc_acc = MetricDistribution::from_values(&by_strategy("complete_case", 0));
+    let mb_acc = MetricDistribution::from_values(&by_strategy("model_based", 0));
+    let cc_di = MetricDistribution::from_values(&by_strategy("complete_case", 1));
+    let mb_di = MetricDistribution::from_values(&by_strategy("model_based", 1));
 
     println!("--- headline (paper §5.3, Figure 5) ---");
     println!(

@@ -8,12 +8,13 @@
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 
-pub mod check;
 pub mod plot;
 pub mod profile_report;
 pub mod trace_report;
 
 use std::path::PathBuf;
+
+use fairprep_core::aggregate::MetricDistribution;
 
 pub use plot::ScatterPlot;
 
@@ -32,19 +33,6 @@ pub fn paper_seeds(n: usize) -> Vec<u64> {
             }
         })
         .collect()
-}
-
-/// The compiler profile this harness was built under (`"debug"` or
-/// `"release"`). Every `BENCH_*.json` writer records it — together with
-/// the core count — so a debug-build number can never masquerade as a
-/// release measurement, and CI schema-checks its presence.
-#[must_use]
-pub fn build_profile() -> &'static str {
-    if cfg!(debug_assertions) {
-        "debug"
-    } else {
-        "release"
-    }
 }
 
 /// Command-line options shared by all harnesses.
@@ -68,7 +56,7 @@ impl HarnessArgs {
         let mut args = HarnessArgs {
             full: false,
             seeds: None,
-            threads: std::thread::available_parallelism().map_or(4, |p| p.get()),
+            threads: fairprep_data::parallel::available_threads(),
             out_dir: PathBuf::from("results"),
         };
         let mut iter = std::env::args().skip(1);
@@ -95,49 +83,9 @@ impl HarnessArgs {
     }
 }
 
-/// Mean / standard deviation / extrema of a series of points.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SeriesSummary {
-    /// Number of (finite) points.
-    pub n: usize,
-    /// Mean.
-    pub mean: f64,
-    /// Population standard deviation.
-    pub std: f64,
-    /// Minimum.
-    pub min: f64,
-    /// Maximum.
-    pub max: f64,
-}
-
-/// Summarizes a metric series, skipping NaNs.
-#[must_use]
-pub fn summarize(values: &[f64]) -> SeriesSummary {
-    let xs: Vec<f64> = values.iter().copied().filter(|v| v.is_finite()).collect();
-    if xs.is_empty() {
-        return SeriesSummary {
-            n: 0,
-            mean: f64::NAN,
-            std: f64::NAN,
-            min: f64::NAN,
-            max: f64::NAN,
-        };
-    }
-    let n = xs.len() as f64;
-    let mean = xs.iter().sum::<f64>() / n;
-    let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n;
-    SeriesSummary {
-        n: xs.len(),
-        mean,
-        std: var.sqrt(),
-        min: xs.iter().copied().fold(f64::INFINITY, f64::min),
-        max: xs.iter().copied().fold(f64::NEG_INFINITY, f64::max),
-    }
-}
-
 /// Formats a summary as `mean ± std [min, max] (n)`.
 #[must_use]
-pub fn fmt_summary(s: &SeriesSummary) -> String {
+pub fn fmt_summary(s: &MetricDistribution) -> String {
     format!(
         "{:.3} ± {:.3} [{:.3}, {:.3}] (n={})",
         s.mean, s.std, s.min, s.max, s.n
@@ -162,20 +110,8 @@ mod tests {
     }
 
     #[test]
-    fn summarize_basics() {
-        let s = summarize(&[1.0, 2.0, 3.0, f64::NAN]);
-        assert_eq!(s.n, 3);
-        assert!((s.mean - 2.0).abs() < 1e-12);
-        assert_eq!(s.min, 1.0);
-        assert_eq!(s.max, 3.0);
-        let empty = summarize(&[f64::NAN]);
-        assert_eq!(empty.n, 0);
-        assert!(empty.mean.is_nan());
-    }
-
-    #[test]
     fn fmt_summary_is_readable() {
-        let s = summarize(&[0.5, 0.7]);
+        let s = MetricDistribution::from_values(&[0.5, 0.7]);
         assert!(fmt_summary(&s).contains("0.600"));
     }
 }

@@ -27,7 +27,10 @@ pub struct MetricDistribution {
 }
 
 impl MetricDistribution {
-    pub(crate) fn from_values(values: &[f64]) -> MetricDistribution {
+    /// Summarizes `values`, skipping every non-finite one; with none left,
+    /// `n` is 0 and the other fields are NaN.
+    #[must_use]
+    pub fn from_values(values: &[f64]) -> MetricDistribution {
         let xs: Vec<f64> = values.iter().copied().filter(|v| v.is_finite()).collect();
         if xs.is_empty() {
             return MetricDistribution {
@@ -147,6 +150,19 @@ mod tests {
             builder
         };
         builder.build().unwrap().run().unwrap()
+    }
+
+    #[test]
+    fn from_values_skips_non_finite_values() {
+        let d = MetricDistribution::from_values(&[1.0, 2.0, 3.0, f64::NAN, f64::INFINITY]);
+        assert_eq!(d.n, 3);
+        assert!((d.mean - 2.0).abs() < 1e-12);
+        assert!((d.std - (2.0_f64 / 3.0).sqrt()).abs() < 1e-12);
+        assert_eq!((d.min, d.max), (1.0, 3.0));
+        let empty = MetricDistribution::from_values(&[f64::NAN]);
+        assert_eq!(empty.n, 0);
+        assert!(empty.mean.is_nan() && empty.std.is_nan());
+        assert!(empty.min.is_nan() && empty.max.is_nan());
     }
 
     #[test]

@@ -125,6 +125,12 @@ impl LogisticRegressionConfig {
                 message: format!("{} must be finite and > 0", self.eta0),
             });
         }
+        if !(self.power_t.is_finite() && self.power_t >= 0.0) {
+            return Err(Error::InvalidParameter {
+                name: "power_t",
+                message: format!("{} must be finite and >= 0", self.power_t),
+            });
+        }
         if self.max_epochs == 0 {
             return Err(Error::InvalidParameter {
                 name: "max_epochs",
@@ -578,6 +584,41 @@ mod tests {
             ..Default::default()
         });
         assert!(bad_epochs.fit(&x, &y, &w, 0).is_err());
+    }
+
+    /// A non-finite or negative `power_t` is refused by `fit` and
+    /// `fit_block` alike; `0.0`, a constant step, still fits.
+    #[test]
+    fn power_t_must_be_finite_and_non_negative() {
+        let w = vec![1.0; 40];
+        let (x, y) = separable(40);
+        let with = |power_t: f64| LogisticRegressionConfig {
+            power_t,
+            ..Default::default()
+        };
+        for power_t in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -2.0] {
+            let own = LogisticRegressionSgd::new(with(power_t))
+                .fit(&x, &y, &w, 3)
+                .err();
+            assert!(
+                matches!(
+                    own,
+                    Some(Error::InvalidParameter {
+                        name: "power_t",
+                        ..
+                    })
+                ),
+                "{power_t}: {own:?}"
+            );
+            let block = fit_block(&[with(power_t)], &x, &y, &w, 3).err();
+            assert_eq!(block, own, "{power_t}");
+        }
+        let constant = LogisticRegressionSgd::new(with(0.0))
+            .fit(&x, &y, &w, 3)
+            .unwrap();
+        assert_eq!(constant.predict(&x).unwrap(), y);
+        let block = fit_block(&[with(0.0)], &x, &y, &w, 3).unwrap();
+        assert!(block[0].weights.iter().all(|v| v.is_finite()));
     }
 
     #[test]

@@ -508,14 +508,15 @@ impl Builder<'_> {
     /// mass and total mass are `all_pos` and `all_total`.
     ///
     /// A two-valued feature's one boundary is scored from the counts of
-    /// [`Builder::count_two_valued`]; every other feature is gathered, its
-    /// positions sorted by value, and scanned. Counting needs unit weights:
-    /// with them and 0/1 labels every partial sum is an integer below 2^53,
-    /// exact in any order, so the counted boundary has the bits a scan in
-    /// any order of its tied rows would give it. Other weights make that
-    /// order observable, so they keep the scan for every feature, and the
-    /// scan sorts positions with the comparisons the row indices had, which
-    /// leaves its permutation unchanged.
+    /// [`Builder::count_two_valued`]; every other feature is gathered
+    /// through [`split_key`], its positions sorted by value, and scanned.
+    /// Counting needs unit weights: with them and 0/1 labels every partial
+    /// sum is an integer below 2^53, exact in any order, so the counted
+    /// boundary has the bits a scan in any order of its tied rows would
+    /// give it. Other weights make that order observable, so they keep the
+    /// scan for every feature, and the scan sorts positions with the
+    /// comparisons the row indices had, which leaves its permutation
+    /// unchanged.
     fn best_split(
         &mut self,
         indices: &[usize],
@@ -543,7 +544,7 @@ impl Builder<'_> {
 
             self.values.clear();
             self.values
-                .extend(indices.iter().map(|&i| self.x.get(i, feature)));
+                .extend(indices.iter().map(|&i| split_key(self.x.get(i, feature))));
             if let Some((first, rest)) = self.values.split_first() {
                 if rest.iter().all(|v| v == first) {
                     continue; // cannot split between equal values
@@ -672,6 +673,18 @@ fn two_valued_columns(x: &Matrix) -> Vec<Option<(f64, f64)>> {
             })
         })
         .collect()
+}
+
+/// The value the split search sorts and scans in place of `v`: a NaN of
+/// either sign becomes the positive quiet NaN, which `total_cmp` sorts
+/// above every number. That is the side `build` sends it to, because a NaN
+/// is `<=` no threshold.
+fn split_key(v: f64) -> f64 {
+    if v.is_nan() {
+        f64::NAN
+    } else {
+        v
+    }
 }
 
 /// Midpoint that is guaranteed to satisfy `lo <= mid < hi` for `lo < hi`.
@@ -812,7 +825,7 @@ mod tests {
         }
 
         /// The replaced split search: every feature sorted by strided
-        /// `Matrix::get` reads and scanned.
+        /// `Matrix::get` reads, on the same NaN key, and scanned.
         fn best_split_oracle(
             &self,
             indices: &[usize],
@@ -825,11 +838,10 @@ mod tests {
             let mut order: Vec<usize> = Vec::with_capacity(indices.len());
 
             for feature in 0..self.x.n_cols() {
+                let value = |i: usize| split_key(self.x.get(i, feature));
                 order.clear();
                 order.extend_from_slice(indices);
-                order.sort_unstable_by(|&a, &b| {
-                    self.x.get(a, feature).total_cmp(&self.x.get(b, feature))
-                });
+                order.sort_unstable_by(|&a, &b| value(a).total_cmp(&value(b)));
 
                 let mut left_pos = 0.0;
                 let mut left_total = 0.0;
@@ -837,8 +849,8 @@ mod tests {
                     let i = order[k];
                     left_pos += self.w[i] * self.y[i];
                     left_total += self.w[i];
-                    let xv = self.x.get(i, feature);
-                    let xn = self.x.get(order[k + 1], feature);
+                    let xv = value(i);
+                    let xn = value(order[k + 1]);
                     if xv == xn {
                         continue;
                     }
@@ -1001,12 +1013,11 @@ mod tests {
 
     /// A NaN or −∞ feature value never yields a split that sends every row
     /// one way, on which an unbounded build would recurse until the stack
-    /// overflows. NaN rows above the rest and −∞ rows split off cleanly; a
-    /// boundary above sign-bit NaN rows has no `<=` threshold, so its node
-    /// stays a leaf.
+    /// overflows. −∞ rows and NaN rows of either sign split off cleanly:
+    /// the search sorts every NaN above the numbers, where `<=` sends it.
     #[test]
     fn non_finite_features_split_or_stay_leaves() {
-        for (special, nodes) in [(f64::NAN, 3), (f64::NEG_INFINITY, 3), (-f64::NAN, 1)] {
+        for special in [f64::NAN, f64::NEG_INFINITY, -f64::NAN] {
             // The first seven rows hold `special` and are the positives.
             let value = |i: u8| if i < 7 { special } else { f64::from(i % 2) };
             let rows: Vec<Vec<f64>> = (0..20).map(|i| vec![value(i)]).collect();
@@ -1015,10 +1026,8 @@ mod tests {
             let tree = DecisionTree::default()
                 .fit_tree(&x, &y, &[1.0; 20], 0)
                 .unwrap();
-            assert_eq!(tree.n_nodes(), nodes, "{special}");
-            if nodes == 3 {
-                assert_eq!(tree.predict(&x).unwrap(), y, "{special}");
-            }
+            assert_eq!(tree.n_nodes(), 3, "{special}");
+            assert_eq!(tree.predict(&x).unwrap(), y, "{special}");
         }
     }
 

@@ -844,14 +844,16 @@ mod tests {
     const REJECTED: usize = 3;
     /// Position of the rejected logistic model in [`mixed_candidates`].
     const REJECTED_LR: usize = 13;
+    /// Position of the logistic model with a NaN `power_t`.
+    const REJECTED_POWER_T: usize = 18;
 
     /// Trees from two families with a tree that `fit_tree` rejects
     /// (`min_samples_split: 1`) inside the first, and logistic models: two
     /// blocks of three (positions 0, 12, 14 without an `l1` term; 7, 15, 17
     /// with one), two that share a block too small to pay off (8, 16 at
     /// another `eta0`), three that share no block (another `max_epochs`,
-    /// no intercept, another `power_t`), and one that `fit` rejects
-    /// (`alpha: -1.0`) beside the first block.
+    /// no intercept, another `power_t`), and two that `fit` rejects:
+    /// `alpha: -1.0` beside the first block, and a NaN `power_t` last.
     fn mixed_candidates() -> Vec<Box<dyn Classifier>> {
         use SplitCriterion::{Entropy, Gini};
         let base = LogisticRegressionConfig::default;
@@ -891,6 +893,10 @@ mod tests {
                 ..base()
             }),
             lr_penalty(Penalty::L1, 5e-5),
+            lr(LogisticRegressionConfig {
+                power_t: f64::NAN,
+                ..base()
+            }),
         ]
     }
 
@@ -1013,17 +1019,25 @@ mod tests {
             rejected_lr,
             Error::InvalidParameter { name: "alpha", .. }
         ));
+        let rejected_power_t = alone[REJECTED_POWER_T].clone().unwrap_err();
+        assert!(matches!(
+            rejected_power_t,
+            Error::InvalidParameter {
+                name: "power_t",
+                ..
+            }
+        ));
         let plan = plan_fits(&mixed, &candidate_indices(&mixed));
         let blocks: Vec<&[usize]> = plan.blocks.iter().map(|b| b.slots.as_slice()).collect();
         assert_eq!(blocks, [&[0, 12, 14][..], &[7, 15, 17]]);
         let mut lone = plan.alone.clone();
         lone.sort_unstable();
-        assert_eq!(lone, [3, 8, 9, 10, 11, 13, 16]);
+        assert_eq!(lone, [3, 8, 9, 10, 11, 13, 16, 18]);
         let cache = FoldCache::build(x, y, w, 5, SEED).unwrap();
         // Every candidate, and a sorted subset as RandomizedSearchCv samples.
         for selected in [
             candidate_indices(&mixed),
-            vec![1, 3, 6, 7, 8, 12, 13, 15, 16, 17],
+            vec![1, 3, 6, 7, 8, 12, 13, 15, 16, 17, 18],
         ] {
             for threads in [1, 4] {
                 let got = candidate_fold_scores(&mixed, &cache, &selected, SEED, threads);
@@ -1041,7 +1055,7 @@ mod tests {
             .into_iter()
             .enumerate()
             .filter_map(|(c, candidate)| {
-                (![REJECTED, REJECTED_LR].contains(&c)).then_some(candidate)
+                (![REJECTED, REJECTED_LR, REJECTED_POWER_T].contains(&c)).then_some(candidate)
             })
             .collect();
         let valid_alone = scored_alone(&valid, &data);
@@ -1072,6 +1086,20 @@ mod tests {
             {
                 Err(e) => assert_eq!(e, rejected_lr),
                 Ok(_) => panic!("the rejected logistic model did not fail the search"),
+            }
+            let only_power_t: Vec<Box<dyn Classifier>> = mixed_candidates()
+                .into_iter()
+                .enumerate()
+                .filter_map(|(c, candidate)| {
+                    (![REJECTED, REJECTED_LR].contains(&c)).then_some(candidate)
+                })
+                .collect();
+            match GridSearchCv::new(5)
+                .with_threads(threads)
+                .search(&only_power_t, x, y, w, SEED)
+            {
+                Err(e) => assert_eq!(e, rejected_power_t),
+                Ok(_) => panic!("the NaN power_t did not fail the search"),
             }
             let full = GridSearchCv::new(5)
                 .with_threads(threads)

@@ -1,20 +1,34 @@
-//! Property tests: the explicit-width kernels are bit-identical to the
-//! scalar reference reductions on every tail length. The widened `dot`
-//! keeps the seed's frozen 4-accumulator reduction tree, so goldens and
-//! manifests cannot move; these tests are the referee for that claim on
-//! random inputs, with lengths biased to straddle the 8-lane boundary
-//! (0..=17 covers zero, sub-lane, one-lane, and lane+tail shapes).
+//! Property tests: `dot` is bit-identical to its scalar specification,
+//! an indexed loop over the same four-accumulator reduction tree, on
+//! every tail length; goldens and manifests pin that tree, so these tests
+//! are the referee for it on random inputs (lengths 0..=17 cover zero, a
+//! partial group, whole groups and groups plus a tail).
 
-use fairprep_ml::kernels::{dot, dot_ref};
+use fairprep_ml::kernels::dot;
 use fairprep_ml::matrix::Matrix;
 use proptest::prelude::*;
+
+/// The specification of [`dot`]: accumulator `i % 4` takes the product of
+/// element `i` for every element before the `len % 4` tail, and the result
+/// is `(a0 + a1) + (a2 + a3) + tail`.
+fn dot_ref(a: &[f64], b: &[f64]) -> f64 {
+    let mut acc = [0.0f64; 4];
+    let quads = a.len() - a.len() % 4;
+    for i in 0..quads {
+        acc[i % 4] += a[i] * b[i];
+    }
+    let mut tail = 0.0;
+    for i in quads..a.len() {
+        tail += a[i] * b[i];
+    }
+    (acc[0] + acc[1]) + (acc[2] + acc[3]) + tail
+}
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 96, ..ProptestConfig::default() })]
 
-    /// `dot` == the seed's interleaved 4-accumulator loop, bit for bit,
-    /// on every length that exercises the widened main loop, the 4-wide
-    /// leftover group, and the scalar tail.
+    /// `dot` == the indexed 4-accumulator loop, bit for bit, on every
+    /// length that exercises the main loop and the scalar tail.
     #[test]
     fn dot_is_bit_identical_to_reference(
         n in 0_usize..=17,
@@ -26,7 +40,7 @@ proptest! {
         prop_assert_eq!(dot(a, b).to_bits(), dot_ref(a, b).to_bits());
     }
 
-    /// Long vectors too: many widened iterations followed by every tail.
+    /// Long vectors too: many groups followed by every tail.
     #[test]
     fn dot_is_bit_identical_on_long_vectors(
         tail in 0_usize..=17,
