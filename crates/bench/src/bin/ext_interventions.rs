@@ -15,11 +15,12 @@
 
 use std::io::Write;
 
-use fairprep_bench::{fmt_summary, paper_seeds, HarnessArgs, ScatterPlot};
+use fairprep_bench::{fmt_summary, HarnessArgs, ScatterPlot};
 use fairprep_core::aggregate::MetricDistribution;
 use fairprep_core::experiment::{Experiment, ExperimentBuilder};
 use fairprep_core::learners::{InProcessLearner, LogisticRegressionLearner};
 use fairprep_core::runner::{run_parallel, Job};
+use fairprep_core::sweep::paper_seeds;
 use fairprep_datasets::{generate_compas, CompasProtected};
 use fairprep_fairness::inprocess::{
     AdversarialDebiasing, LearnedFairRepresentations, PrejudiceRemover,

@@ -20,12 +20,13 @@
 
 use std::io::Write;
 
-use fairprep_bench::{fmt_summary, paper_seeds, HarnessArgs};
+use fairprep_bench::{fmt_summary, HarnessArgs};
 use fairprep_core::aggregate::MetricDistribution;
 use fairprep_core::experiment::Experiment;
 use fairprep_core::learners::{DecisionTreeLearner, Learner, LogisticRegressionLearner};
 use fairprep_core::results::RunResult;
 use fairprep_core::runner::{run_parallel, Job};
+use fairprep_core::sweep::paper_seeds;
 use fairprep_datasets::{generate_german, GERMAN_FULL_SIZE};
 use fairprep_fairness::postprocess::{CalibratedEqOdds, RejectOptionClassification};
 use fairprep_fairness::preprocess::{DisparateImpactRemover, Reweighing};

@@ -40,18 +40,16 @@ fn main() -> std::process::ExitCode {
             "=== {path} ({}, seed {}) ===",
             report.experiment, report.seed
         );
-        for d in &report.drifts {
+        for d in &report.diffs {
+            let (psi, column) = d
+                .drift
+                .max_psi()
+                .map_or((0.0, "-"), |c| (c.psi, c.name.as_str()));
             println!(
-                "{:<36} Δrows {:>6}  max PSI {:.3} ({})  Δbase {:+.3}",
+                "{:<36} Δrows {:>6}  max PSI {psi:.3} ({column})  Δbase {:+.3}",
                 format!("{}->{}", d.from, d.to),
-                d.row_delta,
-                d.max_psi,
-                if d.max_psi_column.is_empty() {
-                    "-"
-                } else {
-                    &d.max_psi_column
-                },
-                d.base_rate_delta,
+                d.drift.row_delta,
+                d.drift.base_rate_delta,
             );
         }
         if !report.warnings.is_empty() {

@@ -18,23 +18,6 @@ use fairprep_core::aggregate::MetricDistribution;
 
 pub use plot::ScatterPlot;
 
-/// The paper's fixed seeds (§4 lists the first three), extended
-/// deterministically to any requested count.
-#[must_use]
-pub fn paper_seeds(n: usize) -> Vec<u64> {
-    let base = [46947u64, 71735, 94246, 31807, 12663, 56480, 83928, 40621];
-    (0..n)
-        .map(|i| {
-            if i < base.len() {
-                base[i]
-            } else {
-                // Deterministic extension of the seed list.
-                fairprep_data::rng::derive_seed(base[i % base.len()], &format!("seed/{i}"))
-            }
-        })
-        .collect()
-}
-
 /// Command-line options shared by all harnesses.
 #[derive(Debug, Clone)]
 pub struct HarnessArgs {
@@ -95,19 +78,6 @@ pub fn fmt_summary(s: &MetricDistribution) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn paper_seeds_start_with_the_published_ones() {
-        let seeds = paper_seeds(10);
-        assert_eq!(&seeds[..3], &[46947, 71735, 94246]);
-        assert_eq!(seeds.len(), 10);
-        // Extension is deterministic and collision-free for small n.
-        let again = paper_seeds(10);
-        assert_eq!(seeds, again);
-        for (i, s) in seeds.iter().enumerate() {
-            assert!(!seeds[i + 1..].contains(s));
-        }
-    }
 
     #[test]
     fn fmt_summary_is_readable() {

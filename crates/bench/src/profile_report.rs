@@ -2,47 +2,68 @@
 //!
 //! `fairprep run --profile --trace out/seed-N.json` embeds a `profile`
 //! section (per-stage dataset snapshots plus adjacent-stage diffs) in
-//! every manifest it writes. This module reads those sections back with
-//! the dependency-free [`fairprep_trace::json`] reader and aggregates the
-//! drift across a whole sweep: worst-case PSI per stage transition, the
-//! column that caused it, base-rate shift ranges, and every drift warning
-//! the runs recorded — the "did any seed's pipeline mangle the data"
-//! view next to the sweep's metric tables.
+//! every manifest it writes. This module reads the diffs back into the
+//! manifest's own [`ProfileDiffRecord`]s with the [`fairprep_trace::json`]
+//! reader and aggregates the drift across a whole sweep: worst-case PSI
+//! per stage transition, the column that caused it, base-rate shift
+//! ranges, and every drift warning the runs recorded — the "did any
+//! seed's pipeline mangle the data" view next to the sweep's metric
+//! tables. A transition's worst column is
+//! [`DatasetDrift::max_psi`](fairprep_data::profile::DatasetDrift::max_psi),
+//! the rule the run's own drift table uses.
 
+use fairprep_data::profile::{ColumnDrift, DatasetDrift};
 use fairprep_trace::json::{parse, Value};
+use fairprep_trace::ProfileDiffRecord;
 
-/// The drift numbers of one stage transition in one manifest.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DriftEntry {
-    /// Baseline snapshot name.
-    pub from: String,
-    /// Current snapshot name.
-    pub to: String,
-    /// Row-count change across the transition.
-    pub row_delta: i64,
-    /// Largest column PSI of the transition.
-    pub max_psi: f64,
-    /// Column the largest PSI came from (empty when no columns drifted).
-    pub max_psi_column: String,
-    /// Overall base-rate change.
-    pub base_rate_delta: f64,
-    /// Privileged base-rate change.
-    pub privileged_base_rate_delta: f64,
-    /// Unprivileged base-rate change.
-    pub unprivileged_base_rate_delta: f64,
-}
-
-/// The profile section of one manifest, flattened for aggregation.
+/// The profile section of one manifest, read back for aggregation.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ProfileReport {
     /// Experiment name.
     pub experiment: String,
     /// Master seed of the run.
     pub seed: u64,
-    /// One entry per adjacent-snapshot diff, in lifecycle order.
-    pub drifts: Vec<DriftEntry>,
+    /// One record per adjacent-snapshot diff, in lifecycle order.
+    pub diffs: Vec<ProfileDiffRecord>,
     /// Drift warnings the run recorded.
     pub warnings: Vec<String>,
+}
+
+/// A number of a diff record; the writer's `null` (a non-finite value)
+/// reads back as NaN.
+fn number(value: Option<&Value>) -> f64 {
+    value.and_then(Value::as_f64).unwrap_or(f64::NAN)
+}
+
+fn string(value: Option<&Value>) -> String {
+    value.and_then(Value::as_str).unwrap_or("?").to_string()
+}
+
+/// Reads one entry of the section's `diffs` array.
+fn parse_diff(diff: &Value) -> ProfileDiffRecord {
+    let columns = diff
+        .get("columns")
+        .and_then(Value::as_object)
+        .unwrap_or(&[])
+        .iter()
+        .map(|(name, col)| ColumnDrift {
+            name: name.clone(),
+            missing_delta: number(col.get("missing_delta")),
+            psi: number(col.get("psi")),
+        })
+        .collect();
+    ProfileDiffRecord {
+        from: string(diff.get("from")),
+        to: string(diff.get("to")),
+        drift: DatasetDrift {
+            row_delta: diff.get("row_delta").and_then(Value::as_f64).unwrap_or(0.0) as i64,
+            privileged_share_delta: number(diff.get("privileged_share_delta")),
+            base_rate_delta: number(diff.get("base_rate_delta")),
+            privileged_base_rate_delta: number(diff.get("privileged_base_rate_delta")),
+            unprivileged_base_rate_delta: number(diff.get("unprivileged_base_rate_delta")),
+            columns,
+        },
+    }
 }
 
 /// Parses the JSON text of a run manifest written with `--profile` into a
@@ -52,44 +73,11 @@ pub fn parse_profile(text: &str) -> Result<ProfileReport, String> {
     let profile = root
         .get("profile")
         .ok_or_else(|| "manifest has no `profile` section (run with --profile)".to_string())?;
-    let mut drifts = Vec::new();
-    if let Some(diffs) = profile.get("diffs").and_then(Value::as_array) {
-        for diff in diffs {
-            let (max_psi, max_psi_column) = diff
-                .get("columns")
-                .and_then(Value::as_object)
-                .map(|cols| {
-                    let mut best = (0.0_f64, String::new());
-                    for (name, col) in cols {
-                        let psi = col.get("psi").and_then(Value::as_f64).unwrap_or(0.0);
-                        if psi > best.0 {
-                            best = (psi, name.clone());
-                        }
-                    }
-                    best
-                })
-                .unwrap_or((0.0, String::new()));
-            let f = |key: &str| diff.get(key).and_then(Value::as_f64).unwrap_or(0.0);
-            drifts.push(DriftEntry {
-                from: diff
-                    .get("from")
-                    .and_then(Value::as_str)
-                    .unwrap_or("?")
-                    .to_string(),
-                to: diff
-                    .get("to")
-                    .and_then(Value::as_str)
-                    .unwrap_or("?")
-                    .to_string(),
-                row_delta: diff.get("row_delta").and_then(Value::as_f64).unwrap_or(0.0) as i64,
-                max_psi,
-                max_psi_column,
-                base_rate_delta: f("base_rate_delta"),
-                privileged_base_rate_delta: f("privileged_base_rate_delta"),
-                unprivileged_base_rate_delta: f("unprivileged_base_rate_delta"),
-            });
-        }
-    }
+    let diffs = profile
+        .get("diffs")
+        .and_then(Value::as_array)
+        .map(|diffs| diffs.iter().map(parse_diff).collect())
+        .unwrap_or_default();
     let warnings = root
         .get("warnings")
         .and_then(Value::as_array)
@@ -101,13 +89,9 @@ pub fn parse_profile(text: &str) -> Result<ProfileReport, String> {
         })
         .unwrap_or_default();
     Ok(ProfileReport {
-        experiment: root
-            .get("experiment")
-            .and_then(Value::as_str)
-            .unwrap_or("?")
-            .to_string(),
+        experiment: string(root.get("experiment")),
         seed: root.get("seed").and_then(Value::as_u64).unwrap_or(0),
-        drifts,
+        diffs,
         warnings,
     })
 }
@@ -137,8 +121,8 @@ pub struct AggregateDrift {
 pub fn aggregate_drift(reports: &[ProfileReport]) -> Vec<AggregateDrift> {
     let mut out: Vec<AggregateDrift> = Vec::new();
     for report in reports {
-        for drift in &report.drifts {
-            let label = format!("{}->{}", drift.from, drift.to);
+        for diff in &report.diffs {
+            let label = format!("{}->{}", diff.from, diff.to);
             let slot = match out.iter_mut().find(|a| a.transition == label) {
                 Some(slot) => slot,
                 None => {
@@ -154,13 +138,18 @@ pub fn aggregate_drift(reports: &[ProfileReport]) -> Vec<AggregateDrift> {
                 }
             };
             slot.runs += 1;
-            if drift.max_psi > slot.worst_psi {
-                slot.worst_psi = drift.max_psi;
-                slot.worst_psi_column = drift.max_psi_column.clone();
+            // A run where nothing drifted counts as PSI 0 with no column.
+            let (psi, column) = diff
+                .drift
+                .max_psi()
+                .map_or((0.0, ""), |c| (c.psi, c.name.as_str()));
+            if psi > slot.worst_psi {
+                slot.worst_psi = psi;
+                slot.worst_psi_column = column.to_string();
                 slot.worst_psi_seed = report.seed;
             }
-            if drift.base_rate_delta.abs() > slot.worst_base_rate_delta.abs() {
-                slot.worst_base_rate_delta = drift.base_rate_delta;
+            if diff.drift.base_rate_delta.abs() > slot.worst_base_rate_delta.abs() {
+                slot.worst_base_rate_delta = diff.drift.base_rate_delta;
             }
         }
     }
@@ -229,12 +218,13 @@ mod tests {
         let report = parse_profile(&manifest(7, 0.3, 0.06)).unwrap();
         assert_eq!(report.experiment, "payment");
         assert_eq!(report.seed, 7);
-        assert_eq!(report.drifts.len(), 1);
-        let d = &report.drifts[0];
+        assert_eq!(report.diffs.len(), 1);
+        let d = &report.diffs[0];
         assert_eq!(d.from, "raw");
-        assert_eq!(d.row_delta, -90);
-        assert!((d.max_psi - 0.3).abs() < 1e-12);
-        assert_eq!(d.max_psi_column, "age");
+        assert_eq!(d.drift.row_delta, -90);
+        let worst = d.drift.max_psi().unwrap();
+        assert!((worst.psi - 0.3).abs() < 1e-12);
+        assert_eq!(worst.name, "age");
         assert_eq!(report.warnings.len(), 1);
     }
 

@@ -389,16 +389,7 @@ fn cmd_sweep(inv: &Invocation) -> Result<(), String> {
     let n_seeds = inv.parse_or::<usize>("seeds", 8)?;
     let threads = inv.parse_or::<usize>("threads", 4)?;
     let max_retries = inv.parse_or::<u32>("max-retries", 2)?;
-    let base = [46947u64, 71735, 94246, 31807, 12663, 56480, 83928, 40621];
-    let seeds: Vec<u64> = (0..n_seeds)
-        .map(|i| {
-            if i < base.len() {
-                base[i]
-            } else {
-                fairprep_data::rng::derive_seed(base[i % base.len()], &format!("seed/{i}"))
-            }
-        })
-        .collect();
+    let seeds = fairprep_core::sweep::paper_seeds(n_seeds);
     // An explicit error beats the old silent `unwrap_or(&0)` fallback the
     // sweep manifest used to record for an empty seed list.
     let first_seed = *seeds

@@ -13,7 +13,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use fairprep_core::seal::{ScoredRow, SealedPipeline};
 use fairprep_data::column::Column;
 use fairprep_data::profile::{
-    psi_against_fractions, smoothed_fractions, ColumnProfile, QUANTILE_POINTS,
+    psi_against_fractions, psi_edges, smoothed_fractions, ColumnProfile, QUANTILE_POINTS,
 };
 use fairprep_trace::telemetry::{
     log2_bucket, RingWindow, ShardedCounter, ShardedHistogram, HISTOGRAM_BUCKETS,
@@ -118,8 +118,8 @@ pub(super) fn flagged_rate([observations, set]: [u64; 2]) -> Option<f64> {
 /// How one tracked column bins an observation.
 #[derive(Debug)]
 enum DriftBins {
-    /// Numeric column binned by the training profile's interior decile
-    /// edges (deduped by bit pattern, like the lifecycle profiler).
+    /// Numeric column binned by the training profile's [`psi_edges`], like
+    /// the lifecycle profiler.
     Numeric { edges: Vec<f64> },
     /// Categorical column binned by the training profile's top-k
     /// categories plus one "other/unseen" bin.
@@ -150,11 +150,7 @@ impl DriftTrack {
             ColumnProfile::Numeric {
                 count, quantiles, ..
             } => {
-                let mut edges: Vec<f64> = quantiles
-                    .get(1..QUANTILE_POINTS.saturating_sub(1))
-                    .unwrap_or(&[])
-                    .to_vec();
-                edges.dedup_by(|a, b| a.to_bits() == b.to_bits());
+                let edges = psi_edges(quantiles);
                 if edges.is_empty() || *count == 0 {
                     return None;
                 }

@@ -40,25 +40,12 @@ pub trait Learner: Send + Sync {
     ) -> Result<Box<dyn FittedClassifier>>;
 
     /// Like [`fit_model`](Learner::fit_model), with a worker-thread budget
-    /// for learners that parallelize internally (cross-validated searches).
-    /// Results are bit-identical at every budget; the default ignores the
-    /// budget and runs sequentially.
-    fn fit_model_with_threads(
-        &self,
-        x: &Matrix,
-        train: &BinaryLabelDataset,
-        seed: u64,
-        threads: usize,
-    ) -> Result<Box<dyn FittedClassifier>> {
-        let _ = threads;
-        self.fit_model(x, train, seed)
-    }
-
-    /// Like [`fit_model_with_threads`](Learner::fit_model_with_threads),
-    /// additionally recording tuning spans and counters on `tracer`.
-    /// Learners that cross-validate internally override this to call
-    /// their search's traced entry point; the default ignores the tracer,
-    /// so plain learners need no changes.
+    /// for learners that parallelize internally (cross-validated searches)
+    /// and a `tracer` for their tuning spans and counters. Results are
+    /// bit-identical at every budget. Learners that cross-validate
+    /// internally override this to call their search's traced entry point;
+    /// the default ignores both and runs sequentially, so plain learners
+    /// need no changes.
     fn fit_model_traced(
         &self,
         x: &Matrix,
@@ -67,8 +54,8 @@ pub trait Learner: Send + Sync {
         threads: usize,
         tracer: &Tracer,
     ) -> Result<Box<dyn FittedClassifier>> {
-        let _ = tracer;
-        self.fit_model_with_threads(x, train, seed, threads)
+        let _ = (threads, tracer);
+        self.fit_model(x, train, seed)
     }
 }
 
@@ -95,17 +82,7 @@ impl Learner for LogisticRegressionLearner {
         train: &BinaryLabelDataset,
         seed: u64,
     ) -> Result<Box<dyn FittedClassifier>> {
-        self.fit_model_with_threads(x, train, seed, 1)
-    }
-
-    fn fit_model_with_threads(
-        &self,
-        x: &Matrix,
-        train: &BinaryLabelDataset,
-        seed: u64,
-        threads: usize,
-    ) -> Result<Box<dyn FittedClassifier>> {
-        self.fit_model_traced(x, train, seed, threads, &Tracer::disabled())
+        self.fit_model_traced(x, train, seed, 1, &Tracer::disabled())
     }
 
     fn fit_model_traced(
@@ -155,17 +132,7 @@ impl Learner for DecisionTreeLearner {
         train: &BinaryLabelDataset,
         seed: u64,
     ) -> Result<Box<dyn FittedClassifier>> {
-        self.fit_model_with_threads(x, train, seed, 1)
-    }
-
-    fn fit_model_with_threads(
-        &self,
-        x: &Matrix,
-        train: &BinaryLabelDataset,
-        seed: u64,
-        threads: usize,
-    ) -> Result<Box<dyn FittedClassifier>> {
-        self.fit_model_traced(x, train, seed, threads, &Tracer::disabled())
+        self.fit_model_traced(x, train, seed, 1, &Tracer::disabled())
     }
 
     fn fit_model_traced(
@@ -213,17 +180,7 @@ impl Learner for RandomizedDecisionTreeLearner {
         train: &BinaryLabelDataset,
         seed: u64,
     ) -> Result<Box<dyn FittedClassifier>> {
-        self.fit_model_with_threads(x, train, seed, 1)
-    }
-
-    fn fit_model_with_threads(
-        &self,
-        x: &Matrix,
-        train: &BinaryLabelDataset,
-        seed: u64,
-        threads: usize,
-    ) -> Result<Box<dyn FittedClassifier>> {
-        self.fit_model_traced(x, train, seed, threads, &Tracer::disabled())
+        self.fit_model_traced(x, train, seed, 1, &Tracer::disabled())
     }
 
     fn fit_model_traced(

@@ -1,32 +1,32 @@
-//! Bridges data-side profiling sketches into manifest records.
+//! Profiles the dataset at every lifecycle boundary for the manifest.
 //!
 //! The lifecycle snapshots the dataset at every boundary where a fitted
 //! component rewrites it (split, resampling, imputation, repair,
 //! featurization, prediction). [`ProfileBuilder`] computes the
 //! [`fairprep_data::profile`] sketches at each boundary, diffs adjacent
-//! snapshots, converts both into the dependency-free record types of
-//! `fairprep_trace`, and records threshold-crossing drifts as manifest
-//! warnings. Everything captured here is a pure function of
+//! snapshots, stores both in the manifest's `profile` section as they
+//! are, and records threshold-crossing drifts as manifest warnings.
+//! Everything captured here is a pure function of
 //! `(configuration, data, seed)`, so the resulting `profile` section is
 //! byte-stable across thread budgets and repeated runs.
 
 use fairprep_data::dataset::BinaryLabelDataset;
 use fairprep_data::error::Result;
-use fairprep_data::profile::{dataset_drift, ColumnProfile, DatasetDrift, DatasetProfile};
+use fairprep_data::profile::{dataset_drift, DatasetProfile};
 use fairprep_fairness::metrics::decision_rates;
 use fairprep_ml::matrix::Matrix;
 use fairprep_trace::{
-    ColumnDriftRecord, ColumnProfileRecord, DataProfile, FeatureSpaceRecord, GroupLabelRecord,
-    PredictionRecord, ProfileDiffRecord, SnapshotRecord, Tracer,
+    DataProfile, FeatureSpaceRecord, PredictionRecord, ProfileDiffRecord, SnapshotRecord, Tracer,
 };
 
 /// Accumulates dataset snapshots across the lifecycle and assembles the
 /// manifest's `profile` section.
 pub(crate) struct ProfileBuilder {
     profile: DataProfile,
-    /// Previous boundary: stage name, the dataset itself (the PSI bins raw
-    /// values into the baseline's quantile edges), and its profile.
-    last: Option<(String, BinaryLabelDataset, DatasetProfile)>,
+    /// The dataset of the previous boundary, whose profile is the last
+    /// snapshot: the PSI bins raw values into the baseline's quantile
+    /// edges.
+    last: Option<BinaryLabelDataset>,
 }
 
 impl ProfileBuilder {
@@ -43,19 +43,22 @@ impl ProfileBuilder {
     /// lifecycle function (warnings are order-sensitive).
     pub(crate) fn snapshot(&mut self, stage: &str, data: &BinaryLabelDataset, tracer: &Tracer) {
         let profile = DatasetProfile::compute(data);
-        if let Some((prev_stage, prev_data, prev_profile)) = &self.last {
-            let drift = dataset_drift(prev_data, prev_profile, data, &profile);
-            for warning in drift.warnings(prev_stage, stage) {
+        if let (Some(prev_data), Some(prev)) = (&self.last, self.profile.snapshots.last()) {
+            let drift = dataset_drift(prev_data, &prev.profile, data, &profile);
+            for warning in drift.warnings(&prev.stage, stage) {
                 tracer.record_warning(warning);
             }
-            self.profile
-                .diffs
-                .push(diff_record(prev_stage, stage, &drift));
+            self.profile.diffs.push(ProfileDiffRecord {
+                from: prev.stage.clone(),
+                to: stage.to_string(),
+                drift,
+            });
         }
-        self.profile
-            .snapshots
-            .push(snapshot_record(stage, &profile));
-        self.last = Some((stage.to_string(), data.clone(), profile));
+        self.profile.snapshots.push(SnapshotRecord {
+            stage: stage.to_string(),
+            profile,
+        });
+        self.last = Some(data.clone());
     }
 
     /// Records the shape and moments of the featurized design matrix.
@@ -110,82 +113,6 @@ impl ProfileBuilder {
     }
 }
 
-fn snapshot_record(stage: &str, profile: &DatasetProfile) -> SnapshotRecord {
-    SnapshotRecord {
-        stage: stage.to_string(),
-        rows: profile.rows,
-        columns: profile
-            .columns
-            .iter()
-            .map(|(name, col)| (name.clone(), column_record(col)))
-            .collect(),
-        group_label: GroupLabelRecord {
-            privileged_favorable: profile.group_label.privileged_favorable,
-            privileged_unfavorable: profile.group_label.privileged_unfavorable,
-            unprivileged_favorable: profile.group_label.unprivileged_favorable,
-            unprivileged_unfavorable: profile.group_label.unprivileged_unfavorable,
-            privileged_share: profile.group_label.privileged_share(),
-            base_rate: profile.group_label.base_rate(),
-            privileged_base_rate: profile.group_label.privileged_base_rate(),
-            unprivileged_base_rate: profile.group_label.unprivileged_base_rate(),
-        },
-    }
-}
-
-fn column_record(col: &ColumnProfile) -> ColumnProfileRecord {
-    match col {
-        ColumnProfile::Numeric {
-            count,
-            missing,
-            mean,
-            std_dev,
-            min,
-            max,
-            quantiles,
-        } => ColumnProfileRecord::Numeric {
-            count: *count,
-            missing: *missing,
-            mean: *mean,
-            std_dev: *std_dev,
-            min: *min,
-            max: *max,
-            quantiles: quantiles.clone(),
-        },
-        ColumnProfile::Categorical {
-            count,
-            missing,
-            cardinality,
-            top,
-        } => ColumnProfileRecord::Categorical {
-            count: *count,
-            missing: *missing,
-            cardinality: *cardinality,
-            top: top.clone(),
-        },
-    }
-}
-
-fn diff_record(from: &str, to: &str, drift: &DatasetDrift) -> ProfileDiffRecord {
-    ProfileDiffRecord {
-        from: from.to_string(),
-        to: to.to_string(),
-        row_delta: drift.row_delta,
-        privileged_share_delta: drift.privileged_share_delta,
-        base_rate_delta: drift.base_rate_delta,
-        privileged_base_rate_delta: drift.privileged_base_rate_delta,
-        unprivileged_base_rate_delta: drift.unprivileged_base_rate_delta,
-        columns: drift
-            .columns
-            .iter()
-            .map(|c| ColumnDriftRecord {
-                name: c.name.clone(),
-                missing_delta: c.missing_delta,
-                psi: c.psi,
-            })
-            .collect(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -231,7 +158,7 @@ mod tests {
         assert_eq!(profile.diffs.len(), 1);
         assert_eq!(profile.diffs[0].from, "raw");
         assert_eq!(profile.diffs[0].to, "train_split");
-        assert_eq!(profile.diffs[0].row_delta, -1);
+        assert_eq!(profile.diffs[0].drift.row_delta, -1);
         // The privileged share jumped from 0.5 to 2/3 and the base rate
         // from 0.5 to 1.0 — both cross the warn thresholds.
         let warnings = tracer.warnings();

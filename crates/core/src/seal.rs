@@ -22,7 +22,7 @@ use fairprep_data::column::ColumnKind;
 use fairprep_data::dataset::BinaryLabelDataset;
 use fairprep_data::error::{Error, Result};
 use fairprep_data::frame::DataFrame;
-use fairprep_data::profile::{ColumnProfile, DatasetProfile, GroupLabelTable};
+use fairprep_data::profile::{ColumnProfile, DatasetProfile, GroupLabelTable, QUANTILE_POINTS};
 use fairprep_data::schema::{GroupSpec, ProtectedAttribute, Role, Schema};
 use fairprep_fairness::postprocess::FittedPostprocessor;
 use fairprep_fairness::preprocess::FittedPreprocessor;
@@ -484,15 +484,26 @@ fn seal_column_profile(p: &ColumnProfile) -> Value {
 
 fn unseal_column_profile(v: &Value) -> Result<ColumnProfile> {
     match sealing::kind_of(v)? {
-        "numeric" => Ok(ColumnProfile::Numeric {
-            count: sealing::req_u64(v, "count")?,
-            missing: sealing::req_u64(v, "missing")?,
-            mean: sealing::req_f64(v, "mean")?,
-            std_dev: sealing::req_f64(v, "std_dev")?,
-            min: sealing::req_f64(v, "min")?,
-            max: sealing::req_f64(v, "max")?,
-            quantiles: sealing::req_f64_vec(v, "quantiles")?,
-        }),
+        "numeric" => {
+            // All quantile points or none (an empty column): the scoring
+            // service's drift baseline reads every point.
+            let quantiles = sealing::req_f64_vec(v, "quantiles")?;
+            if !quantiles.is_empty() && quantiles.len() != QUANTILE_POINTS {
+                return Err(sealing::seal_err(format!(
+                    "numeric profile has {} quantiles, expected {QUANTILE_POINTS} or none",
+                    quantiles.len()
+                )));
+            }
+            Ok(ColumnProfile::Numeric {
+                count: sealing::req_u64(v, "count")?,
+                missing: sealing::req_u64(v, "missing")?,
+                mean: sealing::req_f64(v, "mean")?,
+                std_dev: sealing::req_f64(v, "std_dev")?,
+                min: sealing::req_f64(v, "min")?,
+                max: sealing::req_f64(v, "max")?,
+                quantiles,
+            })
+        }
         "categorical" => {
             let mut top = Vec::new();
             for entry in sealing::req_arr(v, "top")? {
@@ -662,6 +673,20 @@ mod tests {
         assert!(matches!(unseal_protected(&bad_spec), Err(Error::Seal(_))));
         let bad_profile = obj(vec![("rows", Value::from_u64(3))]);
         assert!(matches!(unseal_profile(&bad_profile), Err(Error::Seal(_))));
+        // A quantile sketch one point short.
+        let short = seal_column_profile(&ColumnProfile::Numeric {
+            count: 3,
+            missing: 0,
+            mean: 1.0,
+            std_dev: 0.5,
+            min: 0.0,
+            max: 2.0,
+            quantiles: vec![1.0; QUANTILE_POINTS - 1],
+        });
+        assert!(matches!(
+            unseal_column_profile(&short),
+            Err(Error::Seal(msg)) if msg.contains("quantiles")
+        ));
     }
 
     #[test]

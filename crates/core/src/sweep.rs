@@ -230,6 +230,24 @@ fn run_one(
     (outcome, journal_error)
 }
 
+/// The paper's fixed seeds (§4 lists the first three), extended
+/// deterministically to any requested count: the seed list of every
+/// sweep and figure harness.
+#[must_use]
+pub fn paper_seeds(n: usize) -> Vec<u64> {
+    let base = [46947u64, 71735, 94246, 31807, 12663, 56480, 83928, 40621];
+    (0..n)
+        .map(|i| {
+            if i < base.len() {
+                base[i]
+            } else {
+                // Deterministic extension of the seed list.
+                fairprep_data::rng::derive_seed(base[i % base.len()], &format!("seed/{i}"))
+            }
+        })
+        .collect()
+}
+
 /// Number of completed outcomes in a sweep.
 #[must_use]
 pub fn count_completed(outcomes: &[SeedOutcome]) -> usize {
@@ -267,6 +285,19 @@ mod tests {
             .seed(seed)
             .learner(DecisionTreeLearner { tuned: false })
             .build()
+    }
+
+    #[test]
+    fn paper_seeds_start_with_the_published_ones() {
+        let seeds = paper_seeds(10);
+        assert_eq!(&seeds[..3], &[46947, 71735, 94246]);
+        assert_eq!(seeds.len(), 10);
+        // Extension is deterministic and collision-free for small n.
+        let again = paper_seeds(10);
+        assert_eq!(seeds, again);
+        for (i, s) in seeds.iter().enumerate() {
+            assert!(!seeds[i + 1..].contains(s));
+        }
     }
 
     fn plan<'a>(seeds: &'a [u64], journal: Option<&'a SweepJournal>) -> SweepPlan<'a> {

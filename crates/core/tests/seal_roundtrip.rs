@@ -8,8 +8,10 @@
 //!   (1, 7, 4096), including NaN-bearing rows routed through an imputer
 //!   and rows a complete-case handler drops.
 //! * Corrupted or truncated artifacts fail with a typed [`Error::Seal`]
-//!   and never panic.
+//!   and never panic, neither while loading nor while scoring what
+//!   loaded.
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::OnceLock;
 
 use fairprep_core::experiment::Experiment;
@@ -23,7 +25,9 @@ use fairprep_datasets::{
 };
 use fairprep_fairness::postprocess::{EqOddsPostprocessing, RejectOptionClassification};
 use fairprep_fairness::preprocess::{DisparateImpactRemover, Massaging, Reweighing};
-use fairprep_impute::ModeImputer;
+use fairprep_impute::{ModeImputer, ModelBasedImputer};
+use fairprep_ml::transform::ScalerSpec;
+use fairprep_trace::json::{parse, Value};
 use proptest::prelude::*;
 
 /// Collapses scored rows into comparable bit patterns: `f64` equality is
@@ -181,6 +185,147 @@ fn fixture() -> &'static Fixture {
     })
 }
 
+/// A second sealed pipeline of other component kinds (model-based
+/// imputer, repair, min-max scaling, tree, randomized eq-odds) beside the
+/// fixture's, as artifact text, with the payment pool both score.
+fn second_artifact() -> &'static str {
+    static ARTIFACT: OnceLock<String> = OnceLock::new();
+    ARTIFACT.get_or_init(|| {
+        let (_, sealed) = Experiment::builder("givemesomecredit", fixture().pool.clone())
+            .seed(32)
+            .missing_value_handler(ModelBasedImputer::default())
+            .preprocessor(DisparateImpactRemover::new(0.5))
+            .scaler(ScalerSpec::MinMax)
+            .postprocessor(EqOddsPostprocessing::default())
+            .learner(DecisionTreeLearner { tuned: false })
+            .build()
+            .unwrap()
+            .run_sealed()
+            .unwrap();
+        sealed.to_value().unwrap().to_json()
+    })
+}
+
+/// The paths (child indices from the root) of every node of `v` that
+/// `keep` accepts.
+fn paths(
+    v: &Value,
+    at: &mut Vec<usize>,
+    keep: &dyn Fn(&[usize], &Value) -> bool,
+    out: &mut Vec<Vec<usize>>,
+) {
+    if keep(at, v) {
+        out.push(at.clone());
+    }
+    let children: Vec<&Value> = match v {
+        Value::Arr(items) => items.iter().collect(),
+        Value::Obj(members) => members.iter().map(|(_, m)| m).collect(),
+        _ => Vec::new(),
+    };
+    for (i, child) in children.into_iter().enumerate() {
+        at.push(i);
+        paths(child, at, keep, out);
+        at.pop();
+    }
+}
+
+fn node_mut<'a>(v: &'a mut Value, path: &[usize]) -> &'a mut Value {
+    path.iter().fold(v, |node, &i| match node {
+        Value::Arr(items) => &mut items[i],
+        Value::Obj(members) => &mut members[i].1,
+        _ => unreachable!("paths only descend into containers"),
+    })
+}
+
+/// A float bit pattern: 16 hex digits.
+fn is_bits(v: &Value) -> bool {
+    matches!(v, Value::Str(s) if s.len() == 16 && s.bytes().all(|b| b.is_ascii_hexdigit()))
+}
+
+/// A count or seed: a shorter decimal string.
+fn is_count(v: &Value) -> bool {
+    matches!(v, Value::Str(s) if !s.is_empty() && s.len() < 16 && s.bytes().all(|b| b.is_ascii_digit()))
+}
+
+/// One structural edit of the artifact: `kind` picks the edit, `pick`
+/// the node among those it applies to, `variant` its detail. Edits with
+/// no node to apply to leave the artifact as it is.
+fn edit(doc: &mut Value, kind: usize, pick: usize, variant: usize) {
+    let keep = |path: &[usize], node: &Value| match kind {
+        0 | 1 => !path.is_empty(),
+        2 => is_bits(node),
+        3 | 4 => matches!(node, Value::Arr(_)),
+        _ => is_count(node),
+    };
+    let mut targets = Vec::new();
+    paths(doc, &mut Vec::new(), &keep, &mut targets);
+    let Some(path) = targets.get(pick % targets.len().max(1)) else {
+        return;
+    };
+    match kind {
+        // Delete the member or element.
+        0 => {
+            let (last, parent) = path.split_last().expect("not the root");
+            match node_mut(doc, parent) {
+                Value::Arr(items) => {
+                    items.remove(*last);
+                }
+                Value::Obj(members) => {
+                    members.remove(*last);
+                }
+                _ => unreachable!("a parent is a container"),
+            }
+        }
+        // A value of another kind.
+        1 => {
+            *node_mut(doc, path) = [
+                Value::Null,
+                Value::Bool(true),
+                Value::Num(-1.5),
+                Value::Str("x".to_string()),
+                Value::Arr(Vec::new()),
+                Value::Obj(Vec::new()),
+            ][variant % 6]
+                .clone();
+        }
+        // One hex digit of a bit pattern changed to another.
+        2 => {
+            if let Value::Str(bits) = node_mut(doc, path) {
+                const HEX: &[u8; 16] = b"0123456789abcdef";
+                let at = variant % 16;
+                let digit = HEX.iter().position(|&h| h == bits.as_bytes()[at]);
+                let other = HEX[(digit.unwrap_or(0) + 1 + variant / 16) % 16];
+                bits.replace_range(at..=at, std::str::from_utf8(&[other]).expect("ASCII"));
+            }
+        }
+        // The array truncated, or its elements repeated.
+        3 | 4 => {
+            if let Value::Arr(items) = node_mut(doc, path) {
+                if kind == 3 {
+                    items.truncate(variant % (items.len() + 1));
+                } else {
+                    let copy = items.clone();
+                    items.extend(copy);
+                }
+            }
+        }
+        // A count of 2^53.
+        _ => *node_mut(doc, path) = Value::Str("9007199254740992".to_string()),
+    }
+}
+
+/// Loads `doc` as a sealed pipeline and, when that succeeds, scores the
+/// pool through it; fails the case if either panics.
+fn load_and_score(doc: &Value) -> Result<(), TestCaseError> {
+    let outcome = catch_unwind(AssertUnwindSafe(|| {
+        if let Ok(sealed) = SealedPipeline::from_value(doc) {
+            let _ = sealed.score_frame(fixture().pool.frame().clone());
+        }
+    }));
+    prop_assert!(outcome.is_ok(), "panicked on {}", doc.to_json());
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
 
@@ -218,20 +363,37 @@ proptest! {
         }
     }
 
-    /// Flipping any single byte never panics: the loader either rejects
-    /// the artifact with a typed error or reads a still-wellformed value.
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 200, ..ProptestConfig::default() })]
+
+    /// Up to three structural edits of either pipeline's artifact — a
+    /// deleted member or element, a value of the wrong kind, a flipped hex
+    /// digit in a bit pattern, a truncated or repeated array, a count of
+    /// 2^53 — and then at most one flipped byte never panic: the loader
+    /// refuses the artifact with a typed error, or what it loads scores
+    /// the pool or refuses it with a typed error.
     #[test]
-    fn corrupted_artifacts_never_panic(pos in 0usize..4096, flip in 1u8..255) {
-        let fx = fixture();
-        let bytes = fx.artifact.as_bytes();
-        let pos = pos % bytes.len();
-        let mut corrupted = bytes.to_vec();
+    fn corrupted_artifacts_never_panic(
+        second in any::<bool>(),
+        edits in proptest::collection::vec((0usize..6, any::<usize>(), 0usize..64), 0..=3),
+        flip in proptest::option::of((0usize..8192, 1u8..255)),
+    ) {
+        let artifact = if second { second_artifact() } else { fixture().artifact.as_str() };
+        let mut doc = parse(artifact).unwrap();
+        for (kind, pick, variant) in edits {
+            edit(&mut doc, kind, pick, variant);
+        }
+        let Some((pos, flip)) = flip else {
+            return load_and_score(&doc);
+        };
+        let mut corrupted = doc.to_json().into_bytes();
+        let pos = pos % corrupted.len();
         corrupted[pos] ^= flip;
-        // Not all flips produce valid UTF-8; both paths must stay typed.
-        if let Ok(text) = String::from_utf8(corrupted) {
-            if let Ok(value) = fairprep_trace::json::parse(&text) {
-                let _ = SealedPipeline::from_value(&value);
-            }
+        // Not all flips produce valid UTF-8 or JSON; both paths must stay typed.
+        if let Some(doc) = String::from_utf8(corrupted).ok().and_then(|text| parse(&text).ok()) {
+            load_and_score(&doc)?;
         }
     }
 }

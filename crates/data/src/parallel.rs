@@ -76,33 +76,13 @@ where
     R: Send,
     F: Fn(T) -> R + Sync,
 {
-    parallel_map_worker(items, threads, |_worker, item| f(item))
-}
-
-/// Like [`parallel_map`], but the closure also receives the stable index
-/// of the worker thread running the item (`0..threads`).
-///
-/// The worker index exists for *sharded side effects*: a job that bumps
-/// per-worker telemetry shards (see `fairprep_trace::telemetry`) uses it
-/// to land on a contention-free cache line. Because shard merges are
-/// commutative sums, results — and any sharded totals — remain identical
-/// at every thread count; the submission-order return contract is the
-/// same as [`parallel_map`]'s. With a budget of 1 everything runs inline
-/// as worker 0.
-#[must_use]
-pub fn parallel_map_worker<T, R, F>(items: Vec<T>, threads: usize, f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(usize, T) -> R + Sync,
-{
     let n = items.len();
     if n == 0 {
         return Vec::new();
     }
     let threads = threads.clamp(1, n);
     if threads == 1 {
-        return items.into_iter().map(|item| f(0, item)).collect();
+        return items.into_iter().map(f).collect();
     }
 
     // One lock per slot: claiming item i and storing result i never
@@ -115,7 +95,7 @@ where
         .collect();
     let next = AtomicUsize::new(0);
 
-    scoped_workers(threads, |worker| loop {
+    scoped_workers(threads, |_| loop {
         let ix = next.fetch_add(1, Ordering::Relaxed);
         if ix >= n {
             break;
@@ -127,7 +107,7 @@ where
             .0
             .take()
             .expect("item claimed once");
-        let out = f(worker, item);
+        let out = f(item);
         // audit: allow(shared-mut-capture, reason = "same per-slot lock: one writer per index, deterministic merge by position")
         slots[ix].lock().expect("slot poisoned").1 = Some(out);
     });
@@ -354,25 +334,6 @@ mod tests {
         let p = catch_panic(|| std::panic::panic_any(42_i32)).unwrap_err();
         assert_eq!(p.message, "opaque panic payload");
         assert_eq!(p.to_string(), "panic: opaque panic payload");
-    }
-
-    #[test]
-    fn worker_indices_stay_in_range_and_results_stay_ordered() {
-        let items: Vec<usize> = (0..64).collect();
-        for threads in [1, 4, 8] {
-            let out = parallel_map_worker(items.clone(), threads, |w, i| {
-                assert!(w < threads, "worker {w} out of range at {threads} threads");
-                (w, i * 3)
-            });
-            assert_eq!(
-                out.iter().map(|(_, r)| *r).collect::<Vec<_>>(),
-                (0..64).map(|i| i * 3).collect::<Vec<_>>(),
-                "threads={threads}"
-            );
-            if threads == 1 {
-                assert!(out.iter().all(|(w, _)| *w == 0), "inline runs as worker 0");
-            }
-        }
     }
 
     #[test]

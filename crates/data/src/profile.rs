@@ -338,11 +338,15 @@ pub struct DatasetDrift {
 }
 
 impl DatasetDrift {
-    /// The column with the largest PSI, if any column drifted at all.
+    /// The column with the largest PSI, if any column drifted at all: a
+    /// column counts only with a PSI above 0, and ties go to the
+    /// lexicographically smaller name. The one worst-column rule of the
+    /// workspace: the drift table and the manifest readers all call it.
     #[must_use]
     pub fn max_psi(&self) -> Option<&ColumnDrift> {
         self.columns
             .iter()
+            .filter(|c| c.psi > 0.0)
             .max_by(|a, b| a.psi.total_cmp(&b.psi).then_with(|| b.name.cmp(&a.name)))
     }
 
@@ -443,13 +447,7 @@ fn column_psi(
             Column::Numeric(base_vals),
             Column::Numeric(cur_vals),
         ) => {
-            // Interior decile edges from the baseline quantiles, deduped by
-            // bit pattern so a constant column yields a single bin (PSI 0).
-            let mut edges: Vec<f64> = quantiles
-                .get(1..QUANTILE_POINTS.saturating_sub(1))
-                .unwrap_or(&[])
-                .to_vec();
-            edges.dedup_by(|a, b| a.to_bits() == b.to_bits());
+            let edges = psi_edges(quantiles);
             if edges.is_empty() {
                 return 0.0;
             }
@@ -496,6 +494,22 @@ fn column_psi(
         }
         _ => 0.0,
     }
+}
+
+/// The PSI bin edges of a numeric column: the interior decile edges of its
+/// [`QUANTILE_POINTS`] profile quantiles, deduped by bit pattern, so a
+/// constant column yields none (a single bin, PSI 0). A value `x` falls in
+/// bin `edges.iter().filter(|e| x > **e).count()`. The lifecycle's
+/// stage-to-stage PSI and the scoring service's live drift both bin by
+/// these edges.
+#[must_use]
+pub fn psi_edges(quantiles: &[f64]) -> Vec<f64> {
+    let mut edges = quantiles
+        .get(1..QUANTILE_POINTS.saturating_sub(1))
+        .unwrap_or(&[])
+        .to_vec();
+    edges.dedup_by(|a, b| a.to_bits() == b.to_bits());
+    edges
 }
 
 /// PSI between two count vectors over the same bins, with Laplace
@@ -669,6 +683,37 @@ mod tests {
         assert!(drift.columns.iter().all(|c| c.psi.abs() < 1e-12));
         assert!(drift.columns.iter().all(|c| c.missing_delta.abs() < 1e-12));
         assert!(drift.warnings("a", "b").is_empty());
+        assert_eq!(drift.max_psi(), None);
+    }
+
+    #[test]
+    fn max_psi_ties_break_to_lexicographically_smaller_name() {
+        let column = |name: &str, psi: f64| ColumnDrift {
+            name: name.to_string(),
+            missing_delta: 0.0,
+            psi,
+        };
+        let mut drift = DatasetDrift {
+            row_delta: 0,
+            privileged_share_delta: 0.0,
+            base_rate_delta: 0.0,
+            privileged_base_rate_delta: 0.0,
+            unprivileged_base_rate_delta: 0.0,
+            columns: vec![
+                column("zeta", 0.3),
+                column("alpha", 0.3),
+                column("mid", 0.1),
+            ],
+        };
+        assert_eq!(drift.max_psi().unwrap().name, "alpha");
+        // A tie at 0 is no drift, and an unknown PSI (a manifest's `null`,
+        // read back as NaN) never counts.
+        drift.columns = vec![
+            column("zeta", 0.0),
+            column("alpha", 0.0),
+            column("nan", f64::NAN),
+        ];
+        assert_eq!(drift.max_psi(), None);
     }
 
     #[test]

@@ -564,7 +564,7 @@ impl Builder<'_> {
                 left_total += self.w[i];
                 let xv = self.values[p];
                 let xn = self.values[self.order[k + 1]];
-                if xv == xn {
+                if same_key(xv, xn) {
                     continue; // cannot split between equal values
                 }
                 let n_left = k + 1;
@@ -685,6 +685,13 @@ fn split_key(v: f64) -> f64 {
     } else {
         v
     }
+}
+
+/// `true` when no threshold separates two adjacent sorted keys: equal
+/// numbers, or two NaNs, which `==` calls unequal but whose midpoint
+/// threshold is NaN and would send every row right.
+fn same_key(a: f64, b: f64) -> bool {
+    a == b || (a.is_nan() && b.is_nan())
 }
 
 /// Midpoint that is guaranteed to satisfy `lo <= mid < hi` for `lo < hi`.
@@ -851,7 +858,7 @@ mod tests {
                     left_total += self.w[i];
                     let xv = value(i);
                     let xn = value(order[k + 1]);
-                    if xv == xn {
+                    if same_key(xv, xn) {
                         continue;
                     }
                     let n_left = k + 1;
@@ -1015,20 +1022,35 @@ mod tests {
     /// one way, on which an unbounded build would recurse until the stack
     /// overflows. −∞ rows and NaN rows of either sign split off cleanly:
     /// the search sorts every NaN above the numbers, where `<=` sends it.
+    /// No boundary falls between two NaN rows, so a node of NaN rows with
+    /// mixed labels still takes the real split below them.
     #[test]
     fn non_finite_features_split_or_stay_leaves() {
-        for special in [f64::NAN, f64::NEG_INFINITY, -f64::NAN] {
-            // The first seven rows hold `special` and are the positives.
-            let value = |i: u8| if i < 7 { special } else { f64::from(i % 2) };
-            let rows: Vec<Vec<f64>> = (0..20).map(|i| vec![value(i)]).collect();
-            let y: Vec<f64> = (0..20).map(|i| f64::from(u8::from(i < 7))).collect();
+        let grows_3_nodes = |label: &str, column: &[f64], y: &[f64], predicted: &[f64]| {
+            let rows: Vec<Vec<f64>> = column.iter().map(|&v| vec![v]).collect();
             let x = Matrix::from_rows(&rows).unwrap();
             let tree = DecisionTree::default()
-                .fit_tree(&x, &y, &[1.0; 20], 0)
+                .fit_tree(&x, y, &vec![1.0; y.len()], 0)
                 .unwrap();
-            assert_eq!(tree.n_nodes(), 3, "{special}");
-            assert_eq!(tree.predict(&x).unwrap(), y, "{special}");
+            assert_eq!(tree.n_nodes(), 3, "{label}");
+            assert_eq!(tree.predict(&x).unwrap(), predicted, "{label}");
+        };
+        for special in [f64::NAN, f64::NEG_INFINITY, -f64::NAN] {
+            // The first seven rows hold `special` and are the positives.
+            let column: Vec<f64> = (0..20)
+                .map(|i| if i < 7 { special } else { f64::from(i % 2) })
+                .collect();
+            let y: Vec<f64> = (0..20).map(|i| f64::from(u8::from(i < 7))).collect();
+            grows_3_nodes(&special.to_string(), &column, &y, &y);
         }
+        // `[0, 0, 0, NaN×7]` labelled `[0×6, 1×4]`: the only split is
+        // `x <= 0`; the NaN leaf holds 4 of 7 positives.
+        let column: Vec<f64> = (0..10)
+            .map(|i| if i < 3 { 0.0 } else { f64::NAN })
+            .collect();
+        let y: Vec<f64> = (0..10).map(|i| f64::from(u8::from(i >= 6))).collect();
+        let predicted: Vec<f64> = (0..10).map(|i| f64::from(u8::from(i >= 3))).collect();
+        grows_3_nodes("NaN pairs", &column, &y, &predicted);
     }
 
     fn xor_data() -> (Matrix, Vec<f64>) {

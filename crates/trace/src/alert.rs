@@ -110,13 +110,17 @@ pub enum Transition {
 }
 
 // Packed-state layout: 2 phase bits, then two 31-bit counters. The
-// counters saturate far above any plausible for-duration, so packing
-// never loses a transition.
+// counters saturate at `COUNTER_MASK`, and specs whose counts exceed it
+// are refused, so packing never loses a transition.
 const PHASE_BITS: u64 = 0b11;
 const PHASE_NORMAL: u64 = 0;
 const PHASE_PENDING: u64 = 1;
 const PHASE_FIRING: u64 = 2;
-const COUNTER_MASK: u64 = (1 << 31) - 1;
+
+/// The largest count a packed state holds (2³¹ − 1). A spec's `for` and
+/// `min_hold` may not exceed it: a counter saturated below the count it
+/// must reach would leave the alert pending or firing forever.
+pub const COUNTER_MASK: u64 = (1 << 31) - 1;
 const RUN_SHIFT: u64 = 2;
 const HOLD_SHIFT: u64 = 33;
 
@@ -327,7 +331,10 @@ fn parse_count(entry: &Value, name: &str, key: &str, default: u32) -> Result<u32
             let n = v
                 .as_u64_any()
                 .ok_or_else(|| format!("alert '{name}': '{key}' must be a non-negative integer"))?;
-            u32::try_from(n).map_err(|_| format!("alert '{name}': '{key}' is out of range"))
+            u32::try_from(n)
+                .ok()
+                .filter(|_| n <= COUNTER_MASK)
+                .ok_or_else(|| format!("alert '{name}': '{key}' must be at most {COUNTER_MASK}"))
         }
     }
 }

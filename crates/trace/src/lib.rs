@@ -36,8 +36,7 @@ pub mod telemetry;
 pub use fault::{FaultArm, FaultKind, FaultPlan, INJECTED_PANIC, INJECTED_TRANSIENT};
 pub use manifest::{ManifestConfig, RunManifest, SpanNode};
 pub use profile::{
-    ColumnDriftRecord, ColumnProfileRecord, DataProfile, FeatureSpaceRecord, GroupLabelRecord,
-    PredictionRecord, ProfileDiffRecord, SnapshotRecord,
+    DataProfile, FeatureSpaceRecord, PredictionRecord, ProfileDiffRecord, SnapshotRecord,
 };
 
 use std::sync::atomic::{AtomicU64, Ordering};

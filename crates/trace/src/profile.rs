@@ -1,92 +1,25 @@
-//! Manifest-side records of dataset profiles and stage-to-stage drift.
+//! The manifest's `profile` section: dataset snapshots, stage-to-stage
+//! drift, and the featurized-matrix and prediction summaries.
 //!
-//! The lifecycle (in `fairprep-core`) computes dataset sketches with
-//! `fairprep_data::profile` and converts them into these plain records;
-//! this crate stays dependency-free, so the types here carry only what
-//! the canonical manifest needs to serialize. Everything in a
-//! [`DataProfile`] is a pure function of `(configuration, data, seed)` —
-//! no timings, no pointers — so the rendered `profile` section obeys the
-//! same byte-stability contract as the rest of
-//! [`RunManifest::canonical`](crate::RunManifest::canonical).
+//! Snapshots and diffs hold `fairprep_data::profile`'s own
+//! [`DatasetProfile`] and [`DatasetDrift`]; the lifecycle (in
+//! `fairprep-core`) computes them and this module only renders them.
+//! Everything in a [`DataProfile`] is a pure function of
+//! `(configuration, data, seed)` — no timings, no pointers — so the
+//! rendered `profile` section obeys the same byte-stability contract as
+//! the rest of [`RunManifest::canonical`](crate::RunManifest::canonical).
+
+use fairprep_data::profile::{ColumnProfile, DatasetDrift, DatasetProfile, GroupLabelTable};
 
 use crate::manifest::JsonWriter;
-
-/// Profile of one column at one snapshot.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ColumnProfileRecord {
-    /// Moments and fixed-rank quantiles of a numeric column.
-    Numeric {
-        /// Non-missing observations.
-        count: u64,
-        /// Missing observations.
-        missing: u64,
-        /// Arithmetic mean (`NaN` → JSON `null` when empty).
-        mean: f64,
-        /// Population standard deviation.
-        std_dev: f64,
-        /// Minimum.
-        min: f64,
-        /// Maximum.
-        max: f64,
-        /// Evenly spaced quantiles (0th..100th percentile).
-        quantiles: Vec<f64>,
-    },
-    /// Cardinality and top-k counts of a categorical column.
-    Categorical {
-        /// Non-missing observations.
-        count: u64,
-        /// Missing observations.
-        missing: u64,
-        /// Distinct observed categories.
-        cardinality: u64,
-        /// Most frequent categories with their counts, ties by name.
-        top: Vec<(String, u64)>,
-    },
-}
-
-/// Protected-group × label contingency table plus its derived rates.
-#[derive(Debug, Clone, PartialEq)]
-pub struct GroupLabelRecord {
-    /// Privileged rows with the favorable label.
-    pub privileged_favorable: u64,
-    /// Privileged rows with the unfavorable label.
-    pub privileged_unfavorable: u64,
-    /// Unprivileged rows with the favorable label.
-    pub unprivileged_favorable: u64,
-    /// Unprivileged rows with the unfavorable label.
-    pub unprivileged_unfavorable: u64,
-    /// Fraction of rows in the privileged group.
-    pub privileged_share: f64,
-    /// Overall favorable-label rate.
-    pub base_rate: f64,
-    /// Favorable rate within the privileged group.
-    pub privileged_base_rate: f64,
-    /// Favorable rate within the unprivileged group.
-    pub unprivileged_base_rate: f64,
-}
 
 /// The profile of one dataset snapshot at a named lifecycle boundary.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SnapshotRecord {
     /// Boundary name (`raw`, `train_split`, `train_imputed`, …).
     pub stage: String,
-    /// Number of rows.
-    pub rows: u64,
-    /// Per-column profiles, in frame column order.
-    pub columns: Vec<(String, ColumnProfileRecord)>,
-    /// Protected-group × label table.
-    pub group_label: GroupLabelRecord,
-}
-
-/// Drift of one column between two adjacent snapshots.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ColumnDriftRecord {
-    /// Column name.
-    pub name: String,
-    /// Change of the missingness rate.
-    pub missing_delta: f64,
-    /// Population stability index over the baseline's bins.
-    pub psi: f64,
+    /// The snapshot's profile.
+    pub profile: DatasetProfile,
 }
 
 /// Drift between two adjacent snapshots.
@@ -96,28 +29,8 @@ pub struct ProfileDiffRecord {
     pub from: String,
     /// Current snapshot name.
     pub to: String,
-    /// Row-count change.
-    pub row_delta: i64,
-    /// Change of the privileged-group share.
-    pub privileged_share_delta: f64,
-    /// Change of the overall base rate.
-    pub base_rate_delta: f64,
-    /// Change of the privileged base rate.
-    pub privileged_base_rate_delta: f64,
-    /// Change of the unprivileged base rate.
-    pub unprivileged_base_rate_delta: f64,
-    /// Per-column drifts, in baseline column order.
-    pub columns: Vec<ColumnDriftRecord>,
-}
-
-impl ProfileDiffRecord {
-    /// The column with the largest PSI, if any.
-    #[must_use]
-    pub fn max_psi(&self) -> Option<&ColumnDriftRecord> {
-        self.columns
-            .iter()
-            .max_by(|a, b| a.psi.total_cmp(&b.psi).then_with(|| b.name.cmp(&a.name)))
-    }
+    /// The drift from `from` to `to`.
+    pub drift: DatasetDrift,
 }
 
 /// Shape and moments of the featurized (encoded + scaled) design matrix.
@@ -195,16 +108,16 @@ impl DataProfile {
             w.item();
             w.open_obj();
             w.field_str("stage", &snap.stage);
-            w.field_u64("rows", snap.rows);
+            w.field_u64("rows", snap.profile.rows);
             w.key("columns");
             w.open_obj();
-            for (name, col) in &snap.columns {
+            for (name, col) in &snap.profile.columns {
                 w.key(name);
                 write_column(w, col);
             }
             w.close_obj();
             w.key("group_label");
-            write_group_label(w, &snap.group_label);
+            write_group_label(w, &snap.profile.group_label);
             w.close_obj();
         }
         w.close_arr();
@@ -241,24 +154,25 @@ impl DataProfile {
         w.key("diffs");
         w.open_arr();
         for diff in &self.diffs {
+            let drift = &diff.drift;
             w.item();
             w.open_obj();
             w.field_str("from", &diff.from);
             w.field_str("to", &diff.to);
-            w.field_i64("row_delta", diff.row_delta);
-            w.field_f64("privileged_share_delta", diff.privileged_share_delta);
-            w.field_f64("base_rate_delta", diff.base_rate_delta);
+            w.field_i64("row_delta", drift.row_delta);
+            w.field_f64("privileged_share_delta", drift.privileged_share_delta);
+            w.field_f64("base_rate_delta", drift.base_rate_delta);
             w.field_f64(
                 "privileged_base_rate_delta",
-                diff.privileged_base_rate_delta,
+                drift.privileged_base_rate_delta,
             );
             w.field_f64(
                 "unprivileged_base_rate_delta",
-                diff.unprivileged_base_rate_delta,
+                drift.unprivileged_base_rate_delta,
             );
             w.key("columns");
             w.open_obj();
-            for col in &diff.columns {
+            for col in &drift.columns {
                 w.key(&col.name);
                 w.open_obj();
                 w.field_f64("missing_delta", col.missing_delta);
@@ -294,18 +208,19 @@ impl DataProfile {
                 "Δunpriv_rate"
             ));
             for diff in &self.diffs {
-                let (psi, psi_col) = diff
+                let drift = &diff.drift;
+                let (psi, psi_col) = drift
                     .max_psi()
                     .map_or((0.0, "-"), |c| (c.psi, c.name.as_str()));
                 out.push_str(&format!(
                     "  {:<36} {:>7} {:>8.3} {:<16} {:>+11.3} {:>+11.3} {:>+13.3}\n",
                     format!("{}->{}", diff.from, diff.to),
-                    diff.row_delta,
+                    drift.row_delta,
                     psi,
                     psi_col,
-                    diff.base_rate_delta,
-                    diff.privileged_base_rate_delta,
-                    diff.unprivileged_base_rate_delta,
+                    drift.base_rate_delta,
+                    drift.privileged_base_rate_delta,
+                    drift.unprivileged_base_rate_delta,
                 ));
             }
         }
@@ -326,10 +241,10 @@ impl DataProfile {
     }
 }
 
-fn write_column(w: &mut JsonWriter, col: &ColumnProfileRecord) {
+fn write_column(w: &mut JsonWriter, col: &ColumnProfile) {
     w.open_obj();
     match col {
-        ColumnProfileRecord::Numeric {
+        ColumnProfile::Numeric {
             count,
             missing,
             mean,
@@ -348,7 +263,7 @@ fn write_column(w: &mut JsonWriter, col: &ColumnProfileRecord) {
             w.key("quantiles");
             w.f64_array(quantiles);
         }
-        ColumnProfileRecord::Categorical {
+        ColumnProfile::Categorical {
             count,
             missing,
             cardinality,
@@ -369,76 +284,74 @@ fn write_column(w: &mut JsonWriter, col: &ColumnProfileRecord) {
     w.close_obj();
 }
 
-fn write_group_label(w: &mut JsonWriter, g: &GroupLabelRecord) {
+/// Writes the table's four counts and the four rates derived from them.
+fn write_group_label(w: &mut JsonWriter, g: &GroupLabelTable) {
     w.open_obj();
     w.field_u64("privileged_favorable", g.privileged_favorable);
     w.field_u64("privileged_unfavorable", g.privileged_unfavorable);
     w.field_u64("unprivileged_favorable", g.unprivileged_favorable);
     w.field_u64("unprivileged_unfavorable", g.unprivileged_unfavorable);
-    w.field_f64("privileged_share", g.privileged_share);
-    w.field_f64("base_rate", g.base_rate);
-    w.field_f64("privileged_base_rate", g.privileged_base_rate);
-    w.field_f64("unprivileged_base_rate", g.unprivileged_base_rate);
+    w.field_f64("privileged_share", g.privileged_share());
+    w.field_f64("base_rate", g.base_rate());
+    w.field_f64("privileged_base_rate", g.privileged_base_rate());
+    w.field_f64("unprivileged_base_rate", g.unprivileged_base_rate());
     w.close_obj();
 }
 
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use fairprep_data::profile::ColumnDrift;
 
     pub(crate) fn sample_profile() -> DataProfile {
         DataProfile {
             snapshots: vec![
                 SnapshotRecord {
                     stage: "raw".to_string(),
-                    rows: 10,
-                    columns: vec![
-                        (
-                            "score".to_string(),
-                            ColumnProfileRecord::Numeric {
-                                count: 9,
-                                missing: 1,
-                                mean: 2.5,
-                                std_dev: 1.25,
-                                min: 0.0,
-                                max: 5.0,
-                                quantiles: vec![0.0, 2.5, 5.0],
-                            },
-                        ),
-                        (
-                            "group".to_string(),
-                            ColumnProfileRecord::Categorical {
-                                count: 10,
-                                missing: 0,
-                                cardinality: 2,
-                                top: vec![("a".to_string(), 6), ("b".to_string(), 4)],
-                            },
-                        ),
-                    ],
-                    group_label: GroupLabelRecord {
-                        privileged_favorable: 4,
-                        privileged_unfavorable: 2,
-                        unprivileged_favorable: 1,
-                        unprivileged_unfavorable: 3,
-                        privileged_share: 0.6,
-                        base_rate: 0.5,
-                        privileged_base_rate: 4.0 / 6.0,
-                        unprivileged_base_rate: 0.25,
+                    profile: DatasetProfile {
+                        rows: 10,
+                        columns: vec![
+                            (
+                                "score".to_string(),
+                                ColumnProfile::Numeric {
+                                    count: 9,
+                                    missing: 1,
+                                    mean: 2.5,
+                                    std_dev: 1.25,
+                                    min: 0.0,
+                                    max: 5.0,
+                                    quantiles: vec![0.0, 2.5, 5.0],
+                                },
+                            ),
+                            (
+                                "group".to_string(),
+                                ColumnProfile::Categorical {
+                                    count: 10,
+                                    missing: 0,
+                                    cardinality: 2,
+                                    top: vec![("a".to_string(), 6), ("b".to_string(), 4)],
+                                },
+                            ),
+                        ],
+                        group_label: GroupLabelTable {
+                            privileged_favorable: 4,
+                            privileged_unfavorable: 2,
+                            unprivileged_favorable: 1,
+                            unprivileged_unfavorable: 3,
+                        },
                     },
                 },
                 SnapshotRecord {
                     stage: "train_split".to_string(),
-                    rows: 7,
-                    columns: Vec::new(),
-                    group_label: GroupLabelRecord {
-                        privileged_favorable: 3,
-                        privileged_unfavorable: 1,
-                        unprivileged_favorable: 1,
-                        unprivileged_unfavorable: 2,
-                        privileged_share: 4.0 / 7.0,
-                        base_rate: 4.0 / 7.0,
-                        privileged_base_rate: 0.75,
-                        unprivileged_base_rate: 1.0 / 3.0,
+                    profile: DatasetProfile {
+                        rows: 7,
+                        columns: Vec::new(),
+                        group_label: GroupLabelTable {
+                            privileged_favorable: 3,
+                            privileged_unfavorable: 1,
+                            unprivileged_favorable: 1,
+                            unprivileged_unfavorable: 2,
+                        },
                     },
                 },
             ],
@@ -463,23 +376,25 @@ pub(crate) mod tests {
             diffs: vec![ProfileDiffRecord {
                 from: "raw".to_string(),
                 to: "train_split".to_string(),
-                row_delta: -3,
-                privileged_share_delta: 4.0 / 7.0 - 0.6,
-                base_rate_delta: 4.0 / 7.0 - 0.5,
-                privileged_base_rate_delta: 0.75 - 4.0 / 6.0,
-                unprivileged_base_rate_delta: 1.0 / 3.0 - 0.25,
-                columns: vec![
-                    ColumnDriftRecord {
-                        name: "score".to_string(),
-                        missing_delta: -0.1,
-                        psi: 0.04,
-                    },
-                    ColumnDriftRecord {
-                        name: "group".to_string(),
-                        missing_delta: 0.0,
-                        psi: 0.01,
-                    },
-                ],
+                drift: DatasetDrift {
+                    row_delta: -3,
+                    privileged_share_delta: 4.0 / 7.0 - 0.6,
+                    base_rate_delta: 4.0 / 7.0 - 0.5,
+                    privileged_base_rate_delta: 0.75 - 4.0 / 6.0,
+                    unprivileged_base_rate_delta: 1.0 / 3.0 - 0.25,
+                    columns: vec![
+                        ColumnDrift {
+                            name: "score".to_string(),
+                            missing_delta: -0.1,
+                            psi: 0.04,
+                        },
+                        ColumnDrift {
+                            name: "group".to_string(),
+                            missing_delta: 0.0,
+                            psi: 0.01,
+                        },
+                    ],
+                },
             }],
         }
     }
@@ -536,31 +451,5 @@ pub(crate) mod tests {
         let table = DataProfile::default().drift_table();
         assert!(table.contains("fewer than two snapshots"));
         assert!(DataProfile::default().is_empty());
-    }
-
-    #[test]
-    fn max_psi_ties_break_to_lexicographically_smaller_name() {
-        let diff = ProfileDiffRecord {
-            from: "a".to_string(),
-            to: "b".to_string(),
-            row_delta: 0,
-            privileged_share_delta: 0.0,
-            base_rate_delta: 0.0,
-            privileged_base_rate_delta: 0.0,
-            unprivileged_base_rate_delta: 0.0,
-            columns: vec![
-                ColumnDriftRecord {
-                    name: "zeta".to_string(),
-                    missing_delta: 0.0,
-                    psi: 0.3,
-                },
-                ColumnDriftRecord {
-                    name: "alpha".to_string(),
-                    missing_delta: 0.0,
-                    psi: 0.3,
-                },
-            ],
-        };
-        assert_eq!(diff.max_psi().unwrap().name, "alpha");
     }
 }
