@@ -1,8 +1,8 @@
 //! Shared definitions of the golden request/response suite.
 //!
-//! One fixed pipeline configuration per shipped dataset, plus the exact
-//! predict requests the committed fixtures in `tests/golden_serve/`
-//! replay. The fixture **generator** (`examples/golden_serve.rs`) and
+//! One fixed pipeline configuration per shipped dataset, plus the
+//! benchmarked serving chain on adult, and the exact predict requests
+//! the committed fixtures in `tests/golden_serve/` replay. The fixture **generator** (`examples/golden_serve.rs`) and
 //! the CI **replay test** (`tests/golden_serve.rs`) both build their
 //! pipelines through this module, so a fixture mismatch always means
 //! the serving path changed — never that the two sides disagreed about
@@ -20,9 +20,15 @@ use fairprep_trace::json::{obj, Value};
 use crate::build;
 use crate::serve::{http_request, http_request_accept, Registry, ServerHandle, WINDOW_LABELS};
 
-/// Datasets covered by the golden suite (every generator the repo
-/// ships).
-pub const GOLDEN_DATASETS: &[&str] = &["adult", "german", "compas", "ricci", "payment"];
+/// Fixtures of the golden suite: one per generator the repo ships,
+/// named after its dataset, plus [`DI_FIXTURE`].
+pub const GOLDEN_FIXTURES: &[&str] = &["adult", "german", "compas", "ricci", "payment", DI_FIXTURE];
+
+/// The fixture of the chain `perfbench`'s `serve_mixed` workload serves
+/// (mode imputer, DI remover at repair level 1.0, standard featurizer,
+/// plain LR, reject-option) on the golden adult sample: the only golden
+/// chain through the DI remover.
+pub const DI_FIXTURE: &str = "adult_di";
 
 /// Rows drawn from each generator: enough for a stable lifecycle,
 /// small enough for CI.
@@ -34,12 +40,23 @@ const GOLDEN_GEN_SEED: u64 = 20_19;
 /// Experiment seed shared by both sides of the suite.
 const GOLDEN_RUN_SEED: u64 = 46_947;
 
+/// The dataset a golden fixture draws its sample from.
+#[must_use]
+pub fn dataset_of(fixture: &str) -> &str {
+    if fixture == DI_FIXTURE {
+        "adult"
+    } else {
+        fixture
+    }
+}
+
 /// The fixed component configuration of one golden pipeline:
 /// `(learner, missing, preprocessor, postprocessor)`. Chosen so the
 /// suite spans imputation, a preprocessor, a post-processor, and a
 /// plain chain.
-fn golden_config(dataset: &str) -> (&'static str, &'static str, &'static str, &'static str) {
-    match dataset {
+fn golden_config(fixture: &str) -> (&'static str, &'static str, &'static str, &'static str) {
+    match fixture {
+        DI_FIXTURE => ("lr", "mode", "di-remover-1.0", "reject-option"),
         "adult" => ("lr", "complete-case", "reweighing", "none"),
         "german" => ("dt", "complete-case", "none", "reject-option"),
         "compas" => ("lr", "complete-case", "massaging", "none"),
@@ -54,9 +71,9 @@ pub fn golden_dataset(dataset: &str) -> Result<BinaryLabelDataset, String> {
     build::load_dataset(dataset, GOLDEN_ROWS, GOLDEN_GEN_SEED)
 }
 
-/// Fits and seals the fixed golden pipeline for `dataset`.
-pub fn golden_pipeline(dataset: &str) -> Result<SealedPipeline, String> {
-    seal(dataset, golden_config(dataset))
+/// Fits and seals the fixed golden pipeline of `fixture`.
+pub fn golden_pipeline(fixture: &str) -> Result<SealedPipeline, String> {
+    seal(dataset_of(fixture), golden_config(fixture))
 }
 
 /// Fits and seals the german canary: the golden german sample and seed
@@ -109,11 +126,12 @@ pub fn row_value(data: &BinaryLabelDataset, i: usize) -> Value {
     obj(members)
 }
 
-/// The golden request bodies for `dataset`: a single-row request, a
+/// The golden request bodies of `fixture`: a single-row request, a
 /// small batch, and — when the dataset has incomplete rows — a request
-/// that routes missing cells through the sealed imputer.
-pub fn golden_bodies(dataset: &str) -> Result<Vec<String>, String> {
-    let data = golden_dataset(dataset)?;
+/// that routes missing cells through the sealed imputer. The DI fixture
+/// adds [`off_sample_batch`].
+pub fn golden_bodies(fixture: &str) -> Result<Vec<String>, String> {
+    let data = golden_dataset(dataset_of(fixture))?;
     let mut bodies = vec![
         obj(vec![("row", row_value(&data, 0))]).to_json(),
         obj(vec![(
@@ -125,14 +143,55 @@ pub fn golden_bodies(dataset: &str) -> Result<Vec<String>, String> {
     if let Some(&incomplete) = data.frame().incomplete_rows().first() {
         bodies.push(obj(vec![("row", row_value(&data, incomplete))]).to_json());
     }
+    if fixture == DI_FIXTURE {
+        bodies.push(off_sample_batch(&data));
+    }
     Ok(bodies)
 }
 
-/// Path of the committed fixture file for `dataset`, relative to the
+/// Rows in [`off_sample_batch`]: the batch size `serve_mixed` sends.
+const OFF_SAMPLE_ROWS: usize = 256;
+
+/// One batch of the sample's first rows, incomplete rows included, whose
+/// numeric cells cycle through four placements against the training
+/// values: as drawn, half a unit above (between two integer training
+/// values), far above the maximum, and far below the minimum. Every
+/// eighth off-sample row carries `-0.0` in its first numeric cell.
+fn off_sample_batch(data: &BinaryLabelDataset) -> String {
+    let rows = (0..OFF_SAMPLE_ROWS.min(data.n_rows()))
+        .map(|i| match row_value(data, i) {
+            Value::Obj(members) => {
+                let mut first = true;
+                let members = members
+                    .into_iter()
+                    .map(|(key, cell)| match cell {
+                        Value::Num(x) => {
+                            let moved = match i % 4 {
+                                0 => x,
+                                1 => x + 0.5,
+                                2 => 3.0 * x + 1e6,
+                                _ if first && i % 8 == 7 => -0.0,
+                                _ => -x - 1e6,
+                            };
+                            first = false;
+                            (key, Value::Num(moved))
+                        }
+                        other => (key, other),
+                    })
+                    .collect();
+                Value::Obj(members)
+            }
+            other => other,
+        })
+        .collect();
+    obj(vec![("rows", Value::Arr(rows))]).to_json()
+}
+
+/// Path of the committed fixture file of `fixture`, relative to the
 /// repository root.
 #[must_use]
-pub fn fixture_path(dataset: &str) -> String {
-    format!("tests/golden_serve/{dataset}.json")
+pub fn fixture_path(fixture: &str) -> String {
+    format!("tests/golden_serve/{fixture}.json")
 }
 
 /// The latency every scrape replay pins, in microseconds: the only

@@ -5,18 +5,19 @@
 //! cargo run --release --example golden_serve [-- --out DIR]
 //! ```
 //!
-//! For every shipped dataset this fits the fixed golden pipeline (see
+//! For every golden fixture (one per shipped dataset, plus the DI
+//! chain on adult) this fits the fixed golden pipeline (see
 //! `fairprep_cli::golden`), serves it on an ephemeral port, replays the
 //! golden requests over real HTTP, and writes one fixture file per
-//! dataset into `--out` (default `tests/golden_serve/`) holding the
+//! fixture into `--out` (default `tests/golden_serve/`) holding the
 //! requests together with their **byte-exact** response bodies, plus
 //! the JSON and Prometheus `/metrics` scrapes of the plain and the armed
 //! german replay. Tier-1 tests replay the committed fixtures against an
 //! in-process server: any byte of drift in the serving path fails them.
 
 use fairprep_cli::golden::{
-    armed_replay, golden_bodies, golden_pipeline, plain_replay, ARMED_SCRAPE_FIXTURES,
-    GOLDEN_DATASETS, PLAIN_SCRAPE_FIXTURES,
+    armed_replay, dataset_of, golden_bodies, golden_pipeline, plain_replay, ARMED_SCRAPE_FIXTURES,
+    GOLDEN_FIXTURES, PLAIN_SCRAPE_FIXTURES,
 };
 use fairprep_cli::serve::{http_request, Registry, ServerHandle};
 use fairprep_trace::json::{obj, Value};
@@ -39,12 +40,12 @@ fn main() {
     }
     std::fs::create_dir_all(&out_dir).expect("cannot create output directory");
 
-    for dataset in GOLDEN_DATASETS {
-        let sealed = golden_pipeline(dataset)
-            .unwrap_or_else(|e| panic!("golden pipeline `{dataset}` failed: {e}"));
+    for name in GOLDEN_FIXTURES {
+        let sealed = golden_pipeline(name)
+            .unwrap_or_else(|e| panic!("golden pipeline `{name}` failed: {e}"));
         let fingerprint = sealed.fingerprint.clone();
         let predict_path = format!("/predict/{}", fingerprint.replace(':', "-"));
-        let bodies = golden_bodies(dataset).expect("golden requests");
+        let bodies = golden_bodies(name).expect("golden requests");
 
         let mut registry = Registry::new();
         registry.insert(sealed);
@@ -56,7 +57,7 @@ fn main() {
                 let (status, response) =
                     http_request(server.addr(), "POST", &predict_path, Some(body))
                         .expect("request");
-                assert_eq!(status, 200, "{dataset}: {response}");
+                assert_eq!(status, 200, "{name}: {response}");
                 obj(vec![
                     ("path", Value::Str(predict_path.clone())),
                     ("body", Value::Str(body.clone())),
@@ -68,12 +69,12 @@ fn main() {
         server.stop();
 
         let fixture = obj(vec![
-            ("dataset", Value::Str((*dataset).to_string())),
+            ("dataset", Value::Str(dataset_of(name).to_string())),
             ("fingerprint", Value::Str(fingerprint)),
             ("requests", Value::Arr(requests)),
         ])
         .to_json();
-        let path = out_dir.join(format!("{dataset}.json"));
+        let path = out_dir.join(format!("{name}.json"));
         std::fs::write(&path, &fixture).expect("cannot write fixture");
         println!("{} ({} bytes)", path.display(), fixture.len());
     }
