@@ -2,8 +2,9 @@
 //!
 //! One fixed pipeline configuration per shipped dataset, plus the
 //! benchmarked serving chain on adult, and the exact predict requests
-//! the committed fixtures in `tests/golden_serve/` replay. The fixture **generator** (`examples/golden_serve.rs`) and
-//! the CI **replay test** (`tests/golden_serve.rs`) both build their
+//! the committed fixtures in `tests/golden_serve/` replay. The fixture
+//! **generator** (`examples/golden_serve.rs`) and the CI **replay
+//! test** (`tests/golden_serve.rs`) both build their
 //! pipelines through this module, so a fixture mismatch always means
 //! the serving path changed — never that the two sides disagreed about
 //! the configuration.
@@ -155,8 +156,8 @@ const OFF_SAMPLE_ROWS: usize = 256;
 /// One batch of the sample's first rows, incomplete rows included, whose
 /// numeric cells cycle through four placements against the training
 /// values: as drawn, half a unit above (between two integer training
-/// values), far above the maximum, and far below the minimum. Every
-/// eighth off-sample row carries `-0.0` in its first numeric cell.
+/// values), far above the maximum, and far below the minimum, except
+/// that every eighth row's first numeric cell is `-0.0`.
 fn off_sample_batch(data: &BinaryLabelDataset) -> String {
     let rows = (0..OFF_SAMPLE_ROWS.min(data.n_rows()))
         .map(|i| match row_value(data, i) {

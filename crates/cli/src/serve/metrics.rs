@@ -10,7 +10,7 @@ use fairprep_data::profile::PSI_WARN_THRESHOLD;
 use fairprep_trace::alert::is_firing;
 use fairprep_trace::exposition::Exposition;
 use fairprep_trace::json::{obj, Value};
-use fairprep_trace::telemetry::{percentile_of_sorted, HistogramSnapshot, ShardedCounter};
+use fairprep_trace::telemetry::{p50_p99, HistogramSnapshot, ShardedCounter};
 
 use super::alerts::AlertView;
 use super::telemetry::{
@@ -81,13 +81,11 @@ impl<'a> PipelineView<'a> {
             };
             let (key, label, _) = WINDOW_SPECS[scope - 1];
             let mut latencies = window.latency.snapshot();
-            latencies.sort_unstable();
             View {
                 label,
                 key: Some(key),
                 requests: latencies.len() as u64,
-                quantiles: (!latencies.is_empty())
-                    .then(|| [0.50, 0.99].map(|q| percentile_of_sorted(&latencies, q))),
+                quantiles: p50_p99(&mut latencies),
                 decisions: window.decision_counts(),
                 drift,
                 canary: shadowed.then(|| window.divergence.counts()),

@@ -7,6 +7,15 @@
 //! on every request and the scrape reads the same cells, so the two can
 //! never disagree. Only the window latency quantiles, which are exact,
 //! still read the latency ring's slots.
+//!
+//! A batch's drift bins and decision codes are recorded per chunk, not
+//! per cell: the chunk is binned into a stack buffer, its bins are
+//! tallied in stack arrays, and each count cell then takes one
+//! `fetch_add` for what the chunk adds and one saturating subtract for
+//! what it evicts from a ring. The adds land before the chunk enters
+//! the ring and the subtracts after, so no writer ever uncounts a value
+//! whose count has not landed, and once writers quiesce every window's
+//! counts equal a recount of its ring.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -34,36 +43,75 @@ pub(super) const SCOPES: usize = 1 + WINDOW_SPECS.len();
 
 /// Upper bound on drift bins per tracked column: numeric columns use at
 /// most `QUANTILE_POINTS - 2` interior decile edges (+1 bin) and
-/// categorical columns top-k (+ other). A fixed stack buffer of this
-/// size lets the alert path compute windowed PSI without allocating.
+/// categorical columns top-k (+ other), which unsealing bounds to
+/// `TOP_K` categories. A fixed stack buffer of this
+/// size lets the alert path compute windowed PSI, and the record path
+/// tally a chunk's bins, without allocating.
 const MAX_ALERT_BINS: usize = 16;
 
-/// Decrements an aggregate cell without wrapping below zero. Eviction
-/// decrements can race their matching increments; a monitoring tally
-/// that is off by one beats one that wrapped to `u64::MAX`.
+/// Observations recorded per chunk: the stack buffer a batch's drift
+/// bins and decision codes are gathered in.
+const CHUNK: usize = 256;
+
+/// Request dictionary entries whose drift bin is resolved once per
+/// request; a categorical code past them resolves per cell.
+const DICTIONARY_BINS: usize = 256;
+
+/// Subtracts `n` from an aggregate cell without wrapping below zero.
+/// Eviction decrements can race their matching increments; a
+/// monitoring tally that is off by one beats one that wrapped to
+/// `u64::MAX`.
 // audit: hot-path
-fn saturating_decr(cell: &AtomicU64) {
+fn saturating_sub(cell: &AtomicU64, n: u64) {
     let _ = cell.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| {
-        Some(v.saturating_sub(1))
+        Some(v.saturating_sub(n))
     });
 }
 
-/// Records `value` into `ring`, counting it in `counts[cell_of(value)]`
-/// and uncounting whatever it evicted, so `counts` always tallies the
-/// ring's contents.
+/// How many of `values` fall in each of `CELLS` cells under `cell_of`
+/// (values past the last cell are not counted).
 // audit: hot-path
-fn record_counted(
+fn tally<const CELLS: usize>(values: &[u64], cell_of: impl Fn(u64) -> usize) -> [u64; CELLS] {
+    let mut counts = [0; CELLS];
+    for &value in values {
+        if let Some(n) = counts.get_mut(cell_of(value)) {
+            *n += 1;
+        }
+    }
+    counts
+}
+
+/// Adds `added[c]` onto `counts[c]`: one `fetch_add` per non-empty cell.
+// audit: hot-path
+fn add_tally(counts: &[AtomicU64], added: &[u64]) {
+    for (cell, &n) in counts.iter().zip(added) {
+        if n > 0 {
+            cell.fetch_add(n, Ordering::Relaxed);
+        }
+    }
+}
+
+/// Records `values` into `ring`, keeping `counts[cell_of(v)]` a tally of
+/// the ring's contents: `added` (the values' own tally) before they
+/// enter the ring, what they displace after.
+// audit: hot-path
+fn record_tallied<const CELLS: usize>(
     ring: &RingWindow,
     counts: &[AtomicU64],
-    value: u64,
+    values: &[u64],
+    added: &[u64; CELLS],
     cell_of: impl Fn(u64) -> usize,
 ) {
-    if let Some(cell) = counts.get(cell_of(value)) {
-        cell.fetch_add(1, Ordering::Relaxed);
-    }
-    if let Some(evicted) = ring.record_evicting(value) {
-        if let Some(cell) = counts.get(cell_of(evicted)) {
-            saturating_decr(cell);
+    add_tally(counts, added);
+    let mut evicted = [0u64; CELLS];
+    ring.record_all_evicting(values, |old| {
+        if let Some(n) = evicted.get_mut(cell_of(old)) {
+            *n += 1;
+        }
+    });
+    for (cell, &n) in counts.iter().zip(&evicted) {
+        if n > 0 {
+            saturating_sub(cell, n);
         }
     }
 }
@@ -96,7 +144,7 @@ impl Flags {
             self.set.fetch_add(1, Ordering::Relaxed);
         }
         if self.ring.record_evicting(u64::from(flag)) == Some(1) {
-            saturating_decr(&self.set);
+            saturating_sub(&self.set, 1);
         }
     }
 
@@ -188,16 +236,37 @@ impl DriftTrack {
         })
     }
 
-    /// Records one observation's bin: a lifetime count plus one ring
-    /// slot per window. Lock- and allocation-free.
+    /// Records one chunk of observations' bins: a lifetime count plus
+    /// one ring run per window, counted per bin. Lock- and
+    /// allocation-free.
     // audit: hot-path
-    fn hit(&self, bin: usize) {
+    fn record_chunk(&self, bins: &[u64]) {
+        let added = tally::<MAX_ALERT_BINS>(bins, own_cell);
         let [lifetime, windows @ ..] = &self.counts;
-        if let Some(cell) = lifetime.get(bin) {
-            cell.fetch_add(1, Ordering::Relaxed);
-        }
+        add_tally(lifetime, &added);
         for (ring, counts) in self.rings.iter().zip(windows) {
-            record_counted(ring, counts, bin as u64, own_cell);
+            record_tallied(ring, counts, bins, &added, own_cell);
+        }
+    }
+
+    /// Records `bins` in order, [`CHUNK`] at a time through a stack
+    /// buffer. Lock- and allocation-free.
+    // audit: hot-path
+    fn record_bins(&self, bins: impl Iterator<Item = u64>) {
+        let mut chunk = [0u64; CHUNK];
+        let mut filled = 0;
+        for bin in bins {
+            if let Some(slot) = chunk.get_mut(filled) {
+                *slot = bin;
+                filled += 1;
+            }
+            if filled == CHUNK {
+                self.record_chunk(&chunk);
+                filled = 0;
+            }
+        }
+        if let Some(rest) = chunk.get(..filled) {
+            self.record_chunk(rest);
         }
     }
 
@@ -233,26 +302,37 @@ impl DriftTrack {
 
     /// Folds the raw (pre-imputation) request column into the counts;
     /// missing cells are skipped, exactly as the profiler skips them
-    /// when computing the baseline. Lock- and allocation-free.
+    /// when computing the baseline. A categorical column's bins are
+    /// resolved once per dictionary entry. Lock- and allocation-free.
     // audit: hot-path
     pub(super) fn observe(&self, column: &Column) {
         match (&self.bins, column) {
             (DriftBins::Numeric { edges }, Column::Numeric(vals)) => {
-                for x in vals.iter().flatten() {
-                    if x.is_nan() {
-                        continue;
-                    }
-                    self.hit(edges.iter().filter(|e| *x > **e).count());
-                }
+                self.record_bins(
+                    vals.iter()
+                        .flatten()
+                        .filter(|x| !x.is_nan())
+                        .map(|x| edges.iter().filter(|e| *x > **e).count() as u64),
+                );
             }
             (DriftBins::Categorical { cats }, Column::Categorical(data)) => {
-                for code in data.codes().iter().flatten() {
-                    let bin = data
-                        .category_of(*code)
+                // Bins fit a byte: there are at most `MAX_ALERT_BINS`.
+                let bin_of = |category: Option<&str>| {
+                    category
                         .and_then(|c| cats.iter().position(|k| k == c))
-                        .unwrap_or(cats.len());
-                    self.hit(bin);
+                        .unwrap_or(cats.len()) as u8
+                };
+                let mut entry_bins = [0u8; DICTIONARY_BINS];
+                for (bin, category) in entry_bins.iter_mut().zip(data.categories()) {
+                    *bin = bin_of(Some(category));
                 }
+                self.record_bins(data.codes().iter().flatten().map(|&code| {
+                    let bin = entry_bins
+                        .get(code as usize)
+                        .copied()
+                        .unwrap_or_else(|| bin_of(data.category_of(code)));
+                    u64::from(bin)
+                }));
             }
             // A request column whose physical type disagrees with the
             // training profile never reaches here: row parsing is typed
@@ -295,10 +375,13 @@ impl Window {
 
     // audit: hot-path
     fn record_latency(&self, elapsed_us: u64) {
-        record_counted(
+        let elapsed = [elapsed_us];
+        let added = tally::<HISTOGRAM_BUCKETS>(&elapsed, log2_bucket);
+        record_tallied(
             &self.latency,
             &self.latency_buckets,
-            elapsed_us,
+            &elapsed,
+            &added,
             log2_bucket,
         );
     }
@@ -376,9 +459,10 @@ impl PipeTelemetry {
         }
     }
 
-    /// Folds one scored batch into the counters, histogram, and rings.
-    /// Lock- and allocation-free: the caller's worker index routes every
-    /// increment onto a private shard.
+    /// Folds one scored batch into the counters, histogram, and rings:
+    /// its decision codes are counted and recorded [`CHUNK`] rows at a
+    /// time. Lock- and allocation-free: the caller's worker index routes
+    /// every increment onto a private shard.
     // audit: hot-path
     pub(super) fn record_batch(&self, worker: usize, scored: &[ScoredRow], elapsed_us: u64) {
         self.requests.incr(worker);
@@ -387,22 +471,34 @@ impl PipeTelemetry {
             window.record_latency(elapsed_us);
             window.outcomes.record(false);
         }
-        for row in scored {
-            if row.dropped() {
-                self.rows_dropped.incr(worker);
-                continue;
+        let mut codes = [0u64; CHUNK];
+        for rows in scored.chunks(CHUNK) {
+            let mut decided = 0;
+            for (code, row) in codes.iter_mut().zip(rows.iter().filter(|r| !r.dropped())) {
+                let favorable = row.decision.is_some_and(|d| d >= 0.5);
+                *code = u64::from(row.privileged) * 2 + u64::from(favorable);
+                decided += 1;
             }
-            self.rows_scored.incr(worker);
-            let favorable = row.decision.is_some_and(|d| d >= 0.5);
-            let code = usize::from(row.privileged) * 2 + usize::from(favorable);
-            if let Some(counter) = self.decisions.get(code) {
-                counter.incr(worker);
+            let codes = codes.get(..decided).unwrap_or_default();
+            let dropped = (rows.len() - decided) as u64;
+            if dropped > 0 {
+                self.rows_dropped.add(worker, dropped);
+            }
+            if decided > 0 {
+                self.rows_scored.add(worker, decided as u64);
+            }
+            let added = tally::<4>(codes, own_cell);
+            for (counter, &n) in self.decisions.iter().zip(&added) {
+                if n > 0 {
+                    counter.add(worker, n);
+                }
             }
             for window in &self.windows {
-                record_counted(
+                record_tallied(
                     &window.decisions,
                     &window.decision_counts,
-                    code as u64,
+                    codes,
+                    &added,
                     own_cell,
                 );
             }
@@ -468,46 +564,93 @@ mod tests {
         cells.iter().map(|c| c.load(Ordering::Relaxed)).collect()
     }
 
-    /// Eight writers racing through every ring's first lap must leave
+    fn telemetry(drift: Vec<DriftTrack>) -> PipeTelemetry {
+        PipeTelemetry {
+            requests: ShardedCounter::new(METRIC_SHARDS),
+            rows_scored: ShardedCounter::new(METRIC_SHARDS),
+            rows_dropped: ShardedCounter::new(METRIC_SHARDS),
+            errors: ShardedCounter::new(METRIC_SHARDS),
+            latency: ShardedHistogram::new(METRIC_SHARDS),
+            decisions: std::array::from_fn(|_| ShardedCounter::new(METRIC_SHARDS)),
+            windows: WINDOW_SPECS.map(|(_, _, cap)| Window::new(cap)),
+            drift,
+        }
+    }
+
+    /// Batch lengths the writers cycle through: single rows, a chunk
+    /// and a half, and batches longer than the 1k ring.
+    const BATCHES: [usize; 6] = [1, 3, 17, 384, 1_024, 1_500];
+
+    /// Eight writers racing whole batches through every ring's first
+    /// laps (batches both shorter and longer than the 1k ring) must leave
     /// each window's counts equal to a recount of its ring's slots: the
     /// alerts and the scrape both read those counts.
     #[test]
     fn window_counts_equal_a_recount_of_their_rings() {
-        let profile = ColumnProfile::Categorical {
+        let categorical = ColumnProfile::Categorical {
             count: 600,
             missing: 0,
             cardinality: 6,
             top: (0..5).map(|c| (format!("c{c}"), 100)).collect(),
         };
-        for round in 0..20 {
-            let windows = WINDOW_SPECS.map(|(_, _, capacity)| Window::new(capacity));
-            let track = DriftTrack::from_profile("column", &profile).unwrap();
-            let bins = track.counts[0].len() as u64;
+        let numeric = ColumnProfile::Numeric {
+            count: 1_000,
+            missing: 0,
+            mean: 5.0,
+            std_dev: 3.0,
+            min: 0.0,
+            max: 10.0,
+            quantiles: (0..QUANTILE_POINTS).map(|q| q as f64).collect(),
+        };
+        let names: Vec<String> = (0..8).map(|c| format!("c{c}")).collect();
+        for round in 0..6 {
+            let tracks = vec![
+                DriftTrack::from_profile("categorical", &categorical).unwrap(),
+                DriftTrack::from_profile("numeric", &numeric).unwrap(),
+            ];
+            let telemetry = telemetry(tracks);
             let start = std::sync::Barrier::new(8);
             std::thread::scope(|scope| {
                 for thread in 0..8u64 {
-                    let (windows, track, start) = (&windows, &track, &start);
+                    let (telemetry, start, names) = (&telemetry, &start, &names);
                     scope.spawn(move || {
                         start.wait();
-                        for i in 0..20_000u64 {
-                            let v = (i * 8 + thread).wrapping_mul(2_654_435_761) >> 7;
-                            for window in windows {
-                                window.record_latency(v % 5_000);
-                                record_counted(
-                                    &window.decisions,
-                                    &window.decision_counts,
-                                    v % 4,
-                                    own_cell,
-                                );
-                                window.outcomes.record(v % 7 == 0);
-                                window.divergence.record(v % 5 == 0);
+                        let mut i = thread << 40;
+                        for b in 0..24usize {
+                            let len = BATCHES[(b + thread as usize) % BATCHES.len()];
+                            let mut hash = |m: u64| {
+                                i += 1;
+                                (i.wrapping_mul(2_654_435_761) >> 7) % m
+                            };
+                            let rows: Vec<ScoredRow> = (0..len)
+                                .map(|_| {
+                                    let v = hash(12);
+                                    let score = (v < 11).then(|| v as f64 / 10.0);
+                                    ScoredRow {
+                                        privileged: v % 2 == 0,
+                                        score,
+                                        decision: score.map(|s| f64::from(u8::from(s >= 0.5))),
+                                    }
+                                })
+                                .collect();
+                            let cells: Vec<Option<&str>> = (0..len)
+                                .map(|_| names.get(hash(9) as usize).map(String::as_str))
+                                .collect();
+                            let numbers: Vec<Option<f64>> = (0..len)
+                                .map(|_| (hash(7) > 0).then(|| hash(1_200) as f64 / 100.0))
+                                .collect();
+                            telemetry.drift[0].observe(&Column::from_optional_strs(cells));
+                            telemetry.drift[1].observe(&Column::from_optional_f64(numbers));
+                            telemetry.record_batch(thread as usize, &rows, hash(5_000));
+                            if hash(7) == 0 {
+                                telemetry.record_error(thread as usize);
                             }
-                            track.hit((v % bins) as usize);
+                            telemetry.record_divergence(hash(5) == 0);
                         }
                     });
                 }
             });
-            for window in &windows {
+            for window in &telemetry.windows {
                 let flags = |flags: &Flags| {
                     (
                         flags.set.load(Ordering::Relaxed),
@@ -533,13 +676,26 @@ mod tests {
                     window.latency.capacity()
                 );
             }
-            for (w, ring) in track.rings.iter().enumerate() {
+            for track in &telemetry.drift {
+                let bins = track.counts[0].len();
+                for (w, ring) in track.rings.iter().enumerate() {
+                    assert_eq!(
+                        load(&track.counts[1 + w]),
+                        recount(ring, bins, own_cell),
+                        "round {round}: {} window {w} drifted from its ring",
+                        track.name
+                    );
+                }
                 assert_eq!(
-                    load(&track.counts[1 + w]),
-                    recount(ring, bins as usize, own_cell),
-                    "round {round}: drift window {w} drifted from its ring"
+                    load(&track.counts[0]).iter().sum::<u64>(),
+                    track.rings[0].recorded(),
+                    "round {round}: {} lifetime count",
+                    track.name
                 );
             }
+            let decided: u64 = telemetry.decisions.iter().map(ShardedCounter::total).sum();
+            assert_eq!(decided, telemetry.rows_scored.total());
+            assert_eq!(decided, telemetry.windows[0].decisions.recorded());
         }
     }
 }

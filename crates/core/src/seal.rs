@@ -22,7 +22,9 @@ use fairprep_data::column::ColumnKind;
 use fairprep_data::dataset::BinaryLabelDataset;
 use fairprep_data::error::{Error, Result};
 use fairprep_data::frame::DataFrame;
-use fairprep_data::profile::{ColumnProfile, DatasetProfile, GroupLabelTable, QUANTILE_POINTS};
+use fairprep_data::profile::{
+    ColumnProfile, DatasetProfile, GroupLabelTable, QUANTILE_POINTS, TOP_K,
+};
 use fairprep_data::schema::{GroupSpec, ProtectedAttribute, Role, Schema};
 use fairprep_fairness::postprocess::FittedPostprocessor;
 use fairprep_fairness::preprocess::FittedPreprocessor;
@@ -482,7 +484,11 @@ fn seal_column_profile(p: &ColumnProfile) -> Value {
     }
 }
 
-fn unseal_column_profile(v: &Value) -> Result<ColumnProfile> {
+/// Reconstructs the sealed profile of column `name`. A categorical
+/// profile holds at most [`TOP_K`] top categories whose counts sum to no
+/// more than the column's count: the scoring service's drift baseline
+/// sums them and gives each a bin.
+fn unseal_column_profile(name: &str, v: &Value) -> Result<ColumnProfile> {
     match sealing::kind_of(v)? {
         "numeric" => {
             // All quantile points or none (an empty column): the scoring
@@ -505,15 +511,29 @@ fn unseal_column_profile(v: &Value) -> Result<ColumnProfile> {
             })
         }
         "categorical" => {
+            let entries = sealing::req_arr(v, "top")?;
+            if entries.len() > TOP_K {
+                return Err(sealing::seal_err(format!(
+                    "categorical profile of {name:?} has {} top categories, at most {TOP_K} allowed",
+                    entries.len()
+                )));
+            }
             let mut top = Vec::new();
-            for entry in sealing::req_arr(v, "top")? {
+            for entry in entries {
                 top.push((
                     sealing::req_str(entry, "value")?.to_string(),
                     sealing::req_u64(entry, "count")?,
                 ));
             }
+            let count = sealing::req_u64(v, "count")?;
+            let covered = top.iter().try_fold(0u64, |sum, (_, n)| sum.checked_add(*n));
+            if covered.is_none_or(|covered| covered > count) {
+                return Err(sealing::seal_err(format!(
+                    "categorical profile of {name:?} counts more top-category rows than its {count} rows"
+                )));
+            }
             Ok(ColumnProfile::Categorical {
-                count: sealing::req_u64(v, "count")?,
+                count,
                 missing: sealing::req_u64(v, "missing")?,
                 cardinality: sealing::req_u64(v, "cardinality")?,
                 top,
@@ -569,10 +589,9 @@ fn seal_profile(p: &DatasetProfile) -> Value {
 fn unseal_profile(v: &Value) -> Result<DatasetProfile> {
     let mut columns = Vec::new();
     for entry in sealing::req_arr(v, "columns")? {
-        columns.push((
-            sealing::req_str(entry, "name")?.to_string(),
-            unseal_column_profile(sealing::req(entry, "profile")?)?,
-        ));
+        let name = sealing::req_str(entry, "name")?;
+        let profile = unseal_column_profile(name, sealing::req(entry, "profile")?)?;
+        columns.push((name.to_string(), profile));
     }
     let table = sealing::req(v, "group_label")?;
     Ok(DatasetProfile {
@@ -684,9 +703,35 @@ mod tests {
             quantiles: vec![1.0; QUANTILE_POINTS - 1],
         });
         assert!(matches!(
-            unseal_column_profile(&short),
+            unseal_column_profile("x", &short),
             Err(Error::Seal(msg)) if msg.contains("quantiles")
         ));
+        // Categorical profiles: more than TOP_K top categories, counts
+        // whose sum overflows, and counts whose sum exceeds the column's.
+        let categorical = |count: u64, top: Vec<u64>| {
+            seal_column_profile(&ColumnProfile::Categorical {
+                count,
+                missing: 0,
+                cardinality: top.len() as u64,
+                top: top
+                    .into_iter()
+                    .enumerate()
+                    .map(|(i, n)| (format!("c{i}"), n))
+                    .collect(),
+            })
+        };
+        for (count, top) in [
+            (100, vec![1; TOP_K + 1]),
+            (u64::MAX, vec![u64::MAX, 1]),
+            (10, vec![6, 5]),
+        ] {
+            assert!(matches!(
+                unseal_column_profile("job", &categorical(count, top)),
+                Err(Error::Seal(msg)) if msg.contains("\"job\"")
+            ));
+        }
+        assert!(unseal_column_profile("job", &categorical(11, vec![6, 5])).is_ok());
+        assert!(unseal_column_profile("job", &categorical(100, vec![1; TOP_K])).is_ok());
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! 'fitted' feature transformers are stored in memory afterwards, in order
 //! to be applied to the validation set and test set in later phases." (§3)
 
-use fairprep_data::column::Value;
+use fairprep_data::column::Column;
 use fairprep_data::dataset::BinaryLabelDataset;
 use fairprep_data::error::{Error, Result};
 use fairprep_trace::json::{obj, Value as Json};
@@ -211,34 +211,29 @@ impl FittedFeaturizer {
             }
         }
 
-        // Categorical blocks.
+        // Categorical blocks: each entry of the column's dictionary is
+        // mapped to its one-hot slot once, then every row sets the slot
+        // of its code. Missing cells stay all-zero.
         let mut unseen = 0u64;
         let mut offset = self.numeric_names.len();
+        let mut slots = Vec::new();
         for (name, enc) in self.categorical_names.iter().zip(&self.encoders) {
-            let col = dataset.frame().column(name)?;
-            let width = enc.width();
-            for i in 0..n {
-                let value = match col.get(i) {
-                    Value::Categorical(s) => Some(s.to_string()),
-                    Value::Missing => None,
-                    Value::Numeric(_) => {
-                        return Err(Error::ColumnTypeMismatch {
-                            column: name.clone(),
-                            expected: "categorical",
-                        })
-                    }
-                };
-                if let Some(v) = value.as_deref() {
-                    if enc.categories().iter().all(|c| c != v) {
-                        unseen += 1;
-                    }
+            let Column::Categorical(data) = dataset.frame().column(name)? else {
+                return Err(Error::ColumnTypeMismatch {
+                    column: name.clone(),
+                    expected: "categorical",
+                });
+            };
+            let unseen_slot = enc.width() - 1;
+            slots.clear();
+            slots.extend(data.categories().iter().map(|c| enc.slot_of(c)));
+            for (i, code) in data.codes().iter().enumerate() {
+                if let Some(&slot) = code.and_then(|code| slots.get(code as usize)) {
+                    unseen += u64::from(slot == unseen_slot);
+                    out.set(i, offset + slot, 1.0);
                 }
-                enc.encode_into(
-                    value.as_deref(),
-                    &mut out.row_mut(i)[offset..offset + width],
-                )?;
             }
-            offset += width;
+            offset += enc.width();
         }
 
         // Carry the lifecycle tag into matrix form so downstream model
@@ -342,6 +337,62 @@ mod tests {
         let m = f.transform_traced(&test, &tracer).unwrap();
         assert_eq!(tracer.counter(Counter::UnseenCategories), 2);
         assert_eq!(m, f.transform(&test).unwrap());
+    }
+
+    /// The per-cell reference the dictionary-slot encoding replaces:
+    /// every categorical cell looked up in its encoder's categories.
+    fn reference_categorical_block(
+        f: &FittedFeaturizer,
+        ds: &BinaryLabelDataset,
+    ) -> (Vec<f64>, u64) {
+        let mut block = Vec::new();
+        let mut unseen = 0;
+        for i in 0..ds.n_rows() {
+            for (name, enc) in f.categorical_names.iter().zip(&f.encoders) {
+                let cell = ds.frame().column(name).unwrap().get(i);
+                let value = cell.as_categorical();
+                if value.is_some_and(|v| enc.categories().iter().all(|c| c != v)) {
+                    unseen += 1;
+                }
+                block.extend(enc.encode(value));
+            }
+        }
+        (block, unseen)
+    }
+
+    #[test]
+    fn dictionary_slots_match_the_per_cell_reference() {
+        let train = dataset(&["clerk", "chef", "clerk", "nurse"], &[1.0, 2.0, 3.0, 4.0]);
+        let f = FittedFeaturizer::fit(&train, ScalerSpec::NoScaling).unwrap();
+        // Unseen categories, missing cells, and dictionary entries no row
+        // uses ("nurse" and "sailor" fall out of the `take`).
+        let mut test = dataset(
+            &["pilot", "clerk", "nurse", "chef", "pilot", "sailor", "chef"],
+            &[1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0],
+        );
+        let jobs = [
+            Some("pilot"),
+            None,
+            Some("nurse"),
+            Some("chef"),
+            Some("pilot"),
+            None,
+            Some("sailor"),
+        ];
+        test.frame_mut()
+            .replace_column("job", Column::from_optional_strs(jobs))
+            .unwrap();
+        let test = test.take(&[0, 1, 3, 4, 5, 3]);
+        let tracer = Tracer::enabled();
+        let m = f.transform_traced(&test, &tracer).unwrap();
+        let (block, unseen) = reference_categorical_block(&f, &test);
+        let numeric = f.numeric_names.len();
+        let fast: Vec<f64> = (0..m.n_rows())
+            .flat_map(|i| m.row(i)[numeric..].to_vec())
+            .collect();
+        assert_eq!(fast, block);
+        assert_eq!(tracer.counter(Counter::UnseenCategories), unseen);
+        assert_eq!(unseen, 2);
     }
 
     #[test]

@@ -114,13 +114,21 @@ impl OneHotEncoder {
             });
         }
         out.fill(0.0);
-        if let Some(v) = value {
-            match self.categories.iter().position(|c| c == v) {
-                Some(i) => out[i] = 1.0,
-                None => out[self.categories.len()] = 1.0,
-            }
+        if let Some(slot) = value.and_then(|v| out.get_mut(self.slot_of(v))) {
+            *slot = 1.0;
         }
         Ok(())
+    }
+
+    /// The output slot `value` sets: its training category's indicator,
+    /// or the unseen slot (`width() - 1`) for a category not seen at
+    /// fit time.
+    #[must_use]
+    pub fn slot_of(&self, value: &str) -> usize {
+        self.categories
+            .iter()
+            .position(|c| c == value)
+            .unwrap_or(self.categories.len())
     }
 
     /// Convenience wrapper returning a fresh vector.

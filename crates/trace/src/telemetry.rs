@@ -211,9 +211,10 @@ impl HistogramSnapshot {
 /// A fixed-capacity overwrite ring: the last `capacity` recorded values,
 /// plus a lifetime sequence counter.
 ///
-/// [`RingWindow::record`] claims a slot with one relaxed `fetch_add` on
-/// the sequence and stores the value with a relaxed `store` — lock- and
-/// allocation-free, never blocking, never growing. Under concurrent
+/// [`RingWindow::record_all_evicting`], the one write path, claims a run
+/// of slots with one relaxed `fetch_add` on the sequence and swaps each
+/// value in with a relaxed `swap` — lock- and allocation-free, never
+/// blocking, never growing. Under concurrent
 /// recording a snapshot may interleave writers' values, but every slot
 /// holds either a recorded value or the never-written sentinel, which
 /// snapshots and evictions skip; the golden-fixture tests drive the
@@ -251,30 +252,44 @@ impl RingWindow {
     /// is stored as `u64::MAX - 1`. Lock- and allocation-free.
     // audit: hot-path
     pub fn record(&self, value: u64) {
-        let seq = self.seq.fetch_add(1, Ordering::Relaxed);
-        let len = self.slots.len() as u64;
-        if let Some(slot) = self.slots.get((seq % len) as usize) {
-            slot.store(value.min(EMPTY_SLOT - 1), Ordering::Relaxed);
-        }
+        self.record_all_evicting(std::slice::from_ref(&value), |_| {});
     }
 
     /// Records one value like [`RingWindow::record`], additionally
-    /// returning the value it displaced, if the slot held one. This is
-    /// what lets callers maintain incremental aggregates (bucket
-    /// counts, tallies) over exactly the window contents without ever
-    /// walking the slots. Lock- and allocation-free.
+    /// returning the value it displaced, if the slot held one: the
+    /// one-value case of [`RingWindow::record_all_evicting`].
+    // audit: hot-path
+    pub fn record_evicting(&self, value: u64) -> Option<u64> {
+        let mut displaced = None;
+        self.record_all_evicting(std::slice::from_ref(&value), |old| displaced = Some(old));
+        displaced
+    }
+
+    /// Records `values` in order, overwriting the oldest once full, and
+    /// passes every recorded value they displace to `evicted`. The
+    /// values claim consecutive slots with one relaxed `fetch_add` on the
+    /// sequence; each slot is then swapped. A batch longer than the ring
+    /// displaces its own first values, which `evicted` sees too. This is
+    /// what lets callers maintain incremental aggregates (bucket counts,
+    /// tallies) over exactly the window contents without ever walking
+    /// the slots. Lock- and allocation-free.
     ///
     /// Eviction is decided by the slot's content, not by the sequence
     /// number: while the ring fills, a writer one lap ahead can reach a
     /// slot before that slot's first-lap writer does, and only the
     /// content tells which of the two displaced a recorded value.
     // audit: hot-path
-    pub fn record_evicting(&self, value: u64) -> Option<u64> {
-        let seq = self.seq.fetch_add(1, Ordering::Relaxed);
+    pub fn record_all_evicting(&self, values: &[u64], mut evicted: impl FnMut(u64)) {
+        let first = self.seq.fetch_add(values.len() as u64, Ordering::Relaxed);
         let len = self.slots.len() as u64;
-        let slot = self.slots.get((seq % len) as usize)?;
-        let evicted = slot.swap(value.min(EMPTY_SLOT - 1), Ordering::Relaxed);
-        (evicted != EMPTY_SLOT).then_some(evicted)
+        for (seq, &value) in (first..).zip(values) {
+            if let Some(slot) = self.slots.get((seq % len) as usize) {
+                let old = slot.swap(value.min(EMPTY_SLOT - 1), Ordering::Relaxed);
+                if old != EMPTY_SLOT {
+                    evicted(old);
+                }
+            }
+        }
     }
 
     /// Lifetime number of recorded values (not capped by capacity).
@@ -294,15 +309,33 @@ impl RingWindow {
     }
 }
 
-/// Exact percentile of a sorted slice (nearest-rank); 0 when empty.
-#[must_use]
-pub fn percentile_of_sorted(sorted: &[u64], q: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
+/// The index of the nearest-rank `q` quantile among `len > 0` sorted
+/// values.
+fn nearest_rank(len: usize, q: f64) -> usize {
     #[allow(clippy::cast_sign_loss, clippy::cast_precision_loss)]
-    let idx = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len()) - 1;
-    sorted.get(idx).copied().unwrap_or(0)
+    let rank = ((q * len as f64).ceil() as usize).clamp(1, len);
+    rank - 1
+}
+
+/// The exact nearest-rank p50 and p99 of `values`, found by selection
+/// rather than a sort: p99 first, then p50 among the values below it.
+/// Reorders `values`; `None` when empty.
+#[must_use]
+pub fn p50_p99(values: &mut [u64]) -> Option<[u64; 2]> {
+    if values.is_empty() {
+        return None;
+    }
+    let (lo, hi) = (
+        nearest_rank(values.len(), 0.50),
+        nearest_rank(values.len(), 0.99),
+    );
+    let (below, &mut p99, _) = values.select_nth_unstable(hi);
+    let p50 = if lo < hi {
+        *below.select_nth_unstable(lo).1
+    } else {
+        p99
+    };
+    Some([p50, p99])
 }
 
 // ---------------------------------------------------------------------------
@@ -417,6 +450,15 @@ impl ProgressSink {
 mod tests {
     use super::*;
 
+    /// Exact percentile of a sorted slice (nearest-rank); 0 when empty:
+    /// the sort the scrape used to read, kept as `p50_p99`'s oracle.
+    fn percentile_of_sorted(sorted: &[u64], q: f64) -> u64 {
+        if sorted.is_empty() {
+            return 0;
+        }
+        sorted[nearest_rank(sorted.len(), q)]
+    }
+
     #[test]
     fn counter_merges_across_shards() {
         let c = ShardedCounter::new(4);
@@ -503,6 +545,33 @@ mod tests {
         assert_eq!(percentile_of_sorted(&xs, 0.99), 99);
         assert_eq!(percentile_of_sorted(&xs, 1.0), 100);
         assert_eq!(percentile_of_sorted(&[], 0.5), 0);
+    }
+
+    #[test]
+    fn selected_quantiles_equal_the_sorted_ones() {
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        for len in [1usize, 2, 3, 1_000, 10_000] {
+            for distinct in [1u64, 7, 1_000_000] {
+                let values: Vec<u64> = (0..len)
+                    .map(|_| {
+                        state = state
+                            .wrapping_mul(6_364_136_223_846_793_005)
+                            .wrapping_add(1_442_695_040_888_963_407);
+                        (state >> 33) % distinct
+                    })
+                    .collect();
+                let mut sorted = values.clone();
+                sorted.sort_unstable();
+                let expected = [0.50, 0.99].map(|q| percentile_of_sorted(&sorted, q));
+                let mut selected = values;
+                assert_eq!(
+                    p50_p99(&mut selected),
+                    Some(expected),
+                    "{len} values, {distinct} distinct"
+                );
+            }
+        }
+        assert_eq!(p50_p99(&mut []), None);
     }
 
     #[test]

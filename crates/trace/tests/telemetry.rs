@@ -192,6 +192,28 @@ proptest! {
         }
     }
 
+    /// `record_all_evicting` over a sequence cut into batches of any
+    /// size, some longer than the ring, records and reports exactly what
+    /// recording the values one at a time does.
+    #[test]
+    fn batched_records_evict_like_single_records(
+        capacity in 1usize..64,
+        batches in prop::collection::vec(0usize..150, 1..12),
+    ) {
+        let (single, batched) = (RingWindow::new(capacity), RingWindow::new(capacity));
+        let mut next = 0u64;
+        for len in batches {
+            let values: Vec<u64> = (next..next + len as u64).collect();
+            next += len as u64;
+            let expected: Vec<u64> = values.iter().filter_map(|&v| single.record_evicting(v)).collect();
+            let mut evicted = Vec::new();
+            batched.record_all_evicting(&values, |old| evicted.push(old));
+            prop_assert_eq!(evicted, expected);
+        }
+        prop_assert_eq!(batched.recorded(), single.recorded());
+        prop_assert_eq!(batched.snapshot(), single.snapshot());
+    }
+
     /// Tally consistency: every heartbeat satisfies
     /// `failed <= done <= total`, and after all jobs finish the final
     /// `done` equals `total` with `failed` equal to the number of
