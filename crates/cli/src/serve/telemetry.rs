@@ -13,9 +13,11 @@
 //! tallied in stack arrays, and each count cell then takes one
 //! `fetch_add` for what the chunk adds and one saturating subtract for
 //! what it evicts from a ring. The adds land before the chunk enters
-//! the ring and the subtracts after, so no writer ever uncounts a value
-//! whose count has not landed, and once writers quiesce every window's
-//! counts equal a recount of its ring.
+//! the ring and the subtracts after, and the ring's slot swap is
+//! acquire-release, so the writer that evicts a value sees that value's
+//! count added: no writer ever uncounts a value whose count has not
+//! landed, and once writers quiesce every window's counts equal a
+//! recount of its ring.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -58,9 +60,9 @@ const CHUNK: usize = 256;
 const DICTIONARY_BINS: usize = 256;
 
 /// Subtracts `n` from an aggregate cell without wrapping below zero.
-/// Eviction decrements can race their matching increments; a
-/// monitoring tally that is off by one beats one that wrapped to
-/// `u64::MAX`.
+/// The ring's acquire-release swap orders every eviction after its
+/// value's increment, so this should never clamp; if it ever did, a
+/// monitoring tally that is off beats one that wrapped to `u64::MAX`.
 // audit: hot-path
 fn saturating_sub(cell: &AtomicU64, n: u64) {
     let _ = cell.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| {
@@ -577,22 +579,35 @@ mod tests {
         }
     }
 
-    /// Batch lengths the writers cycle through: single rows, a chunk
-    /// and a half, and batches longer than the 1k ring.
-    const BATCHES: [usize; 6] = [1, 3, 17, 384, 1_024, 1_500];
-
-    /// Eight writers racing whole batches through every ring's first
-    /// laps (batches both shorter and longer than the 1k ring) must leave
-    /// each window's counts equal to a recount of its ring's slots: the
-    /// alerts and the scrape both read those counts.
-    #[test]
-    fn window_counts_equal_a_recount_of_their_rings() {
-        let categorical = ColumnProfile::Categorical {
+    /// A categorical profile of top categories `c0`..`c4` (bins 0–4)
+    /// plus the other bin (5).
+    fn categorical() -> ColumnProfile {
+        ColumnProfile::Categorical {
             count: 600,
             missing: 0,
             cardinality: 6,
             top: (0..5).map(|c| (format!("c{c}"), 100)).collect(),
-        };
+        }
+    }
+
+    /// Batch lengths the writers cycle through: single rows, a chunk
+    /// and a half, and batches longer than the 1k ring. Batches longer
+    /// than `WIDE` rows open with `WIDE` distinct categories, so their
+    /// later dictionary entries resolve their bins per cell.
+    const BATCHES: [usize; 6] = [1, 3, 17, 384, 1_024, 1_500];
+    const WIDE: usize = DICTIONARY_BINS + 44;
+
+    /// Single-row requests each writer sends after each of its 24
+    /// batches: about 20,000 a round, so 8 writers lap the 10k rings of
+    /// latencies, outcomes and divergence flags 16 times a round.
+    const SINGLES: u64 = 834;
+
+    /// Eight writers racing whole batches (both shorter and longer than
+    /// the 1k ring) and single-row requests through many laps of every
+    /// ring must leave each window's counts equal to a recount of its
+    /// ring's slots: the alerts and the scrape both read those counts.
+    #[test]
+    fn window_counts_equal_a_recount_of_their_rings() {
         let numeric = ColumnProfile::Numeric {
             count: 1_000,
             missing: 0,
@@ -603,49 +618,57 @@ mod tests {
             quantiles: (0..QUANTILE_POINTS).map(|q| q as f64).collect(),
         };
         let names: Vec<String> = (0..8).map(|c| format!("c{c}")).collect();
-        for round in 0..6 {
+        let wide: Vec<String> = (0..WIDE).map(|w| format!("w{w}")).collect();
+        let row = |v: u64| {
+            let score = (v % 12 < 11).then(|| (v % 12) as f64 / 10.0);
+            ScoredRow {
+                privileged: v.is_multiple_of(2),
+                score,
+                decision: score.map(|s| f64::from(u8::from(s >= 0.5))),
+            }
+        };
+        for round in 0..20 {
             let tracks = vec![
-                DriftTrack::from_profile("categorical", &categorical).unwrap(),
+                DriftTrack::from_profile("categorical", &categorical()).unwrap(),
                 DriftTrack::from_profile("numeric", &numeric).unwrap(),
             ];
             let telemetry = telemetry(tracks);
             let start = std::sync::Barrier::new(8);
             std::thread::scope(|scope| {
                 for thread in 0..8u64 {
-                    let (telemetry, start, names) = (&telemetry, &start, &names);
+                    let (telemetry, start, names, wide) = (&telemetry, &start, &names, &wide);
                     scope.spawn(move || {
                         start.wait();
+                        let worker = thread as usize;
                         let mut i = thread << 40;
+                        let mut hash = |m: u64| {
+                            i += 1;
+                            (i.wrapping_mul(2_654_435_761) >> 7) % m
+                        };
                         for b in 0..24usize {
-                            let len = BATCHES[(b + thread as usize) % BATCHES.len()];
-                            let mut hash = |m: u64| {
-                                i += 1;
-                                (i.wrapping_mul(2_654_435_761) >> 7) % m
-                            };
-                            let rows: Vec<ScoredRow> = (0..len)
-                                .map(|_| {
-                                    let v = hash(12);
-                                    let score = (v < 11).then(|| v as f64 / 10.0);
-                                    ScoredRow {
-                                        privileged: v % 2 == 0,
-                                        score,
-                                        decision: score.map(|s| f64::from(u8::from(s >= 0.5))),
-                                    }
-                                })
-                                .collect();
+                            let len = BATCHES[(b + worker) % BATCHES.len()];
+                            let rows: Vec<ScoredRow> =
+                                (0..len).map(|_| row(hash(1 << 20))).collect();
                             let cells: Vec<Option<&str>> = (0..len)
-                                .map(|_| names.get(hash(9) as usize).map(String::as_str))
+                                .map(|r| match wide.get(r).filter(|_| len > WIDE) {
+                                    Some(filler) => Some(filler.as_str()),
+                                    None => names.get(hash(9) as usize).map(String::as_str),
+                                })
                                 .collect();
                             let numbers: Vec<Option<f64>> = (0..len)
                                 .map(|_| (hash(7) > 0).then(|| hash(1_200) as f64 / 100.0))
                                 .collect();
                             telemetry.drift[0].observe(&Column::from_optional_strs(cells));
                             telemetry.drift[1].observe(&Column::from_optional_f64(numbers));
-                            telemetry.record_batch(thread as usize, &rows, hash(5_000));
-                            if hash(7) == 0 {
-                                telemetry.record_error(thread as usize);
+                            telemetry.record_batch(worker, &rows, hash(5_000));
+                            for _ in 0..SINGLES {
+                                let v = hash(1 << 20);
+                                telemetry.record_batch(worker, &[row(v)], v % 5_000);
+                                if v.is_multiple_of(7) {
+                                    telemetry.record_error(worker);
+                                }
+                                telemetry.record_divergence(v.is_multiple_of(5));
                             }
-                            telemetry.record_divergence(hash(5) == 0);
                         }
                     });
                 }
@@ -697,5 +720,24 @@ mod tests {
             assert_eq!(decided, telemetry.rows_scored.total());
             assert_eq!(decided, telemetry.windows[0].decisions.recorded());
         }
+    }
+
+    /// Dictionary entries past the per-request table resolve their bins
+    /// per cell, into the bins the table would give them.
+    #[test]
+    fn entries_past_the_dictionary_table_bin_per_cell() {
+        let track = DriftTrack::from_profile("categorical", &categorical()).unwrap();
+        let fillers: Vec<String> = (0..DICTIONARY_BINS).map(|w| format!("w{w}")).collect();
+        let cells = fillers.iter().map(|f| Some(f.as_str())).chain([
+            Some("c4"),
+            Some("c0"),
+            None,
+            Some("c9"),
+            Some("c4"),
+        ]);
+        track.observe(&Column::from_optional_strs(cells));
+        // The fillers and `c9` count as other; the missing cell counts nowhere.
+        let other = DICTIONARY_BINS as u64 + 1;
+        assert_eq!(load(&track.counts[0]), [1, 0, 0, 0, 2, other]);
     }
 }

@@ -5,9 +5,10 @@
 //! threads and must measure itself without slowing itself down. Every
 //! primitive here therefore obeys one contract on its **record path**
 //! (enforced by the `alloc-in-kernel` audit lint via `// audit: hot-path`
-//! markers): no locks, no allocation, no syscalls — only relaxed atomic
-//! arithmetic on pre-allocated state. All merging, sorting, and
-//! formatting happens at *scrape* time, which is rare and cold.
+//! markers): no locks, no allocation, no syscalls — only atomic
+//! arithmetic on pre-allocated state, relaxed except for the ring's
+//! acquire-release slot swap. All merging, sorting, and formatting
+//! happens at *scrape* time, which is rare and cold.
 //!
 //! * [`ShardedCounter`] / [`ShardedHistogram`] — one cache-line-padded
 //!   shard per worker slot, so concurrent recorders never contend on a
@@ -213,8 +214,8 @@ impl HistogramSnapshot {
 ///
 /// [`RingWindow::record_all_evicting`], the one write path, claims a run
 /// of slots with one relaxed `fetch_add` on the sequence and swaps each
-/// value in with a relaxed `swap` — lock- and allocation-free, never
-/// blocking, never growing. Under concurrent
+/// value in with an acquire-release `swap` — lock- and allocation-free,
+/// never blocking, never growing. Under concurrent
 /// recording a snapshot may interleave writers' values, but every slot
 /// holds either a recorded value or the never-written sentinel, which
 /// snapshots and evictions skip; the golden-fixture tests drive the
@@ -248,16 +249,10 @@ impl RingWindow {
         self.slots.len()
     }
 
-    /// Records one value, overwriting the oldest once full. `u64::MAX`
-    /// is stored as `u64::MAX - 1`. Lock- and allocation-free.
-    // audit: hot-path
-    pub fn record(&self, value: u64) {
-        self.record_all_evicting(std::slice::from_ref(&value), |_| {});
-    }
-
-    /// Records one value like [`RingWindow::record`], additionally
-    /// returning the value it displaced, if the slot held one: the
-    /// one-value case of [`RingWindow::record_all_evicting`].
+    /// Records one value, overwriting the oldest once full, and returns
+    /// the value it displaced, if the slot held one: the one-value case
+    /// of [`RingWindow::record_all_evicting`]. `u64::MAX` is stored as
+    /// `u64::MAX - 1`. Lock- and allocation-free.
     // audit: hot-path
     pub fn record_evicting(&self, value: u64) -> Option<u64> {
         let mut displaced = None;
@@ -274,6 +269,11 @@ impl RingWindow {
     /// tallies) over exactly the window contents without ever walking
     /// the slots. Lock- and allocation-free.
     ///
+    /// The swap is acquire-release: whatever a writer stored before
+    /// recording a value (say, the value's count) happens before the
+    /// work of the writer that later displaces it, on weakly ordered
+    /// CPUs too.
+    ///
     /// Eviction is decided by the slot's content, not by the sequence
     /// number: while the ring fills, a writer one lap ahead can reach a
     /// slot before that slot's first-lap writer does, and only the
@@ -284,7 +284,7 @@ impl RingWindow {
         let len = self.slots.len() as u64;
         for (seq, &value) in (first..).zip(values) {
             if let Some(slot) = self.slots.get((seq % len) as usize) {
-                let old = slot.swap(value.min(EMPTY_SLOT - 1), Ordering::Relaxed);
+                let old = slot.swap(value.min(EMPTY_SLOT - 1), Ordering::AcqRel);
                 if old != EMPTY_SLOT {
                     evicted(old);
                 }
@@ -478,7 +478,7 @@ mod tests {
         h.record(5, 100);
         assert_eq!(h.snapshot().count, 1);
         let r = RingWindow::new(0);
-        r.record(7);
+        assert_eq!(r.record_evicting(7), None);
         assert_eq!(r.snapshot(), vec![7]);
     }
 
@@ -512,9 +512,7 @@ mod tests {
     #[test]
     fn ring_overwrites_oldest() {
         let r = RingWindow::new(3);
-        for v in 1..=5u64 {
-            r.record(v);
-        }
+        r.record_all_evicting(&[1, 2, 3, 4, 5], |_| {});
         assert_eq!(r.recorded(), 5);
         assert_eq!(r.capacity(), 3);
         let mut snap = r.snapshot();
@@ -525,8 +523,7 @@ mod tests {
     #[test]
     fn ring_snapshot_before_full_returns_only_recorded() {
         let r = RingWindow::new(10);
-        r.record(42);
-        r.record(7);
+        r.record_all_evicting(&[42, 7], |_| {});
         assert_eq!(r.snapshot(), vec![42, 7]);
     }
 

@@ -97,7 +97,7 @@ fn worker_indices_beyond_shard_count_wrap_without_loss() {
 fn ring_window_retains_exactly_the_last_capacity_values() {
     let ring = RingWindow::new(100);
     for v in 0..250u64 {
-        ring.record(v);
+        ring.record_evicting(v);
     }
     assert_eq!(ring.recorded(), 250);
     let mut snapshot = ring.snapshot();
@@ -117,7 +117,7 @@ fn ring_window_concurrent_records_fill_every_slot() {
             let ring = &ring;
             scope.spawn(move || {
                 for i in 0..5_000u64 {
-                    ring.record(t as u64 * 10_000 + i);
+                    ring.record_evicting(t as u64 * 10_000 + i);
                 }
             });
         }
@@ -163,7 +163,7 @@ proptest! {
         let ring = RingWindow::new(capacity);
         let k = capacity + extra;
         for v in 0..k as u64 {
-            ring.record(v);
+            ring.record_evicting(v);
         }
         prop_assert_eq!(ring.recorded(), k as u64);
         let mut snapshot = ring.snapshot();
