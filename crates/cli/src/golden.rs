@@ -130,7 +130,7 @@ pub fn row_value(data: &BinaryLabelDataset, i: usize) -> Value {
 /// The golden request bodies of `fixture`: a single-row request, a
 /// small batch, and — when the dataset has incomplete rows — a request
 /// that routes missing cells through the sealed imputer. The DI fixture
-/// adds [`off_sample_batch`].
+/// adds `off_sample_batch`.
 pub fn golden_bodies(fixture: &str) -> Result<Vec<String>, String> {
     let data = golden_dataset(dataset_of(fixture))?;
     let mut bodies = vec![

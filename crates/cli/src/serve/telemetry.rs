@@ -52,7 +52,9 @@ pub(super) const SCOPES: usize = 1 + WINDOW_SPECS.len();
 const MAX_ALERT_BINS: usize = 16;
 
 /// Observations recorded per chunk: the stack buffer a batch's drift
-/// bins and decision codes are gathered in.
+/// bins and decision codes are gathered in. Both fit a byte (at most
+/// `MAX_ALERT_BINS` bins, 4 codes), so a single-row request zeroes 256
+/// bytes per tracked column rather than 2 KiB.
 const CHUNK: usize = 256;
 
 /// Request dictionary entries whose drift bin is resolved once per
@@ -73,10 +75,13 @@ fn saturating_sub(cell: &AtomicU64, n: u64) {
 /// How many of `values` fall in each of `CELLS` cells under `cell_of`
 /// (values past the last cell are not counted).
 // audit: hot-path
-fn tally<const CELLS: usize>(values: &[u64], cell_of: impl Fn(u64) -> usize) -> [u64; CELLS] {
+fn tally<T: Copy + Into<u64>, const CELLS: usize>(
+    values: &[T],
+    cell_of: impl Fn(u64) -> usize,
+) -> [u64; CELLS] {
     let mut counts = [0; CELLS];
     for &value in values {
-        if let Some(n) = counts.get_mut(cell_of(value)) {
+        if let Some(n) = counts.get_mut(cell_of(value.into())) {
             *n += 1;
         }
     }
@@ -97,10 +102,10 @@ fn add_tally(counts: &[AtomicU64], added: &[u64]) {
 /// the ring's contents: `added` (the values' own tally) before they
 /// enter the ring, what they displace after.
 // audit: hot-path
-fn record_tallied<const CELLS: usize>(
+fn record_tallied<T: Copy + Into<u64>, const CELLS: usize>(
     ring: &RingWindow,
     counts: &[AtomicU64],
-    values: &[u64],
+    values: &[T],
     added: &[u64; CELLS],
     cell_of: impl Fn(u64) -> usize,
 ) {
@@ -242,8 +247,8 @@ impl DriftTrack {
     /// one ring run per window, counted per bin. Lock- and
     /// allocation-free.
     // audit: hot-path
-    fn record_chunk(&self, bins: &[u64]) {
-        let added = tally::<MAX_ALERT_BINS>(bins, own_cell);
+    fn record_chunk(&self, bins: &[u8]) {
+        let added = tally::<_, MAX_ALERT_BINS>(bins, own_cell);
         let [lifetime, windows @ ..] = &self.counts;
         add_tally(lifetime, &added);
         for (ring, counts) in self.rings.iter().zip(windows) {
@@ -254,8 +259,8 @@ impl DriftTrack {
     /// Records `bins` in order, [`CHUNK`] at a time through a stack
     /// buffer. Lock- and allocation-free.
     // audit: hot-path
-    fn record_bins(&self, bins: impl Iterator<Item = u64>) {
-        let mut chunk = [0u64; CHUNK];
+    fn record_bins(&self, bins: impl Iterator<Item = u8>) {
+        let mut chunk = [0u8; CHUNK];
         let mut filled = 0;
         for bin in bins {
             if let Some(slot) = chunk.get_mut(filled) {
@@ -267,7 +272,7 @@ impl DriftTrack {
                 filled = 0;
             }
         }
-        if let Some(rest) = chunk.get(..filled) {
+        if let Some(rest) = chunk.get(..filled).filter(|rest| !rest.is_empty()) {
             self.record_chunk(rest);
         }
     }
@@ -314,11 +319,10 @@ impl DriftTrack {
                     vals.iter()
                         .flatten()
                         .filter(|x| !x.is_nan())
-                        .map(|x| edges.iter().filter(|e| *x > **e).count() as u64),
+                        .map(|x| edges.iter().filter(|e| *x > **e).count() as u8),
                 );
             }
             (DriftBins::Categorical { cats }, Column::Categorical(data)) => {
-                // Bins fit a byte: there are at most `MAX_ALERT_BINS`.
                 let bin_of = |category: Option<&str>| {
                     category
                         .and_then(|c| cats.iter().position(|k| k == c))
@@ -329,11 +333,10 @@ impl DriftTrack {
                     *bin = bin_of(Some(category));
                 }
                 self.record_bins(data.codes().iter().flatten().map(|&code| {
-                    let bin = entry_bins
+                    entry_bins
                         .get(code as usize)
                         .copied()
-                        .unwrap_or_else(|| bin_of(data.category_of(code)));
-                    u64::from(bin)
+                        .unwrap_or_else(|| bin_of(data.category_of(code)))
                 }));
             }
             // A request column whose physical type disagrees with the
@@ -378,7 +381,7 @@ impl Window {
     // audit: hot-path
     fn record_latency(&self, elapsed_us: u64) {
         let elapsed = [elapsed_us];
-        let added = tally::<HISTOGRAM_BUCKETS>(&elapsed, log2_bucket);
+        let added = tally::<_, HISTOGRAM_BUCKETS>(&elapsed, log2_bucket);
         record_tallied(
             &self.latency,
             &self.latency_buckets,
@@ -473,12 +476,12 @@ impl PipeTelemetry {
             window.record_latency(elapsed_us);
             window.outcomes.record(false);
         }
-        let mut codes = [0u64; CHUNK];
+        let mut codes = [0u8; CHUNK];
         for rows in scored.chunks(CHUNK) {
             let mut decided = 0;
             for (code, row) in codes.iter_mut().zip(rows.iter().filter(|r| !r.dropped())) {
                 let favorable = row.decision.is_some_and(|d| d >= 0.5);
-                *code = u64::from(row.privileged) * 2 + u64::from(favorable);
+                *code = u8::from(row.privileged) * 2 + u8::from(favorable);
                 decided += 1;
             }
             let codes = codes.get(..decided).unwrap_or_default();
@@ -489,7 +492,7 @@ impl PipeTelemetry {
             if decided > 0 {
                 self.rows_scored.add(worker, decided as u64);
             }
-            let added = tally::<4>(codes, own_cell);
+            let added = tally::<_, 4>(codes, own_cell);
             for (counter, &n) in self.decisions.iter().zip(&added) {
                 if n > 0 {
                     counter.add(worker, n);

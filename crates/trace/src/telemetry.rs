@@ -261,7 +261,9 @@ impl RingWindow {
     }
 
     /// Records `values` in order, overwriting the oldest once full, and
-    /// passes every recorded value they displace to `evicted`. The
+    /// passes every recorded value they displace to `evicted`. Values
+    /// of any type that widens to `u64` are accepted, so a caller can
+    /// gather small codes in a byte buffer. The
     /// values claim consecutive slots with one relaxed `fetch_add` on the
     /// sequence; each slot is then swapped. A batch longer than the ring
     /// displaces its own first values, which `evicted` sees too. This is
@@ -279,12 +281,16 @@ impl RingWindow {
     /// slot before that slot's first-lap writer does, and only the
     /// content tells which of the two displaced a recorded value.
     // audit: hot-path
-    pub fn record_all_evicting(&self, values: &[u64], mut evicted: impl FnMut(u64)) {
+    pub fn record_all_evicting<T: Copy + Into<u64>>(
+        &self,
+        values: &[T],
+        mut evicted: impl FnMut(u64),
+    ) {
         let first = self.seq.fetch_add(values.len() as u64, Ordering::Relaxed);
         let len = self.slots.len() as u64;
         for (seq, &value) in (first..).zip(values) {
             if let Some(slot) = self.slots.get((seq % len) as usize) {
-                let old = slot.swap(value.min(EMPTY_SLOT - 1), Ordering::AcqRel);
+                let old = slot.swap(value.into().min(EMPTY_SLOT - 1), Ordering::AcqRel);
                 if old != EMPTY_SLOT {
                     evicted(old);
                 }
@@ -512,7 +518,7 @@ mod tests {
     #[test]
     fn ring_overwrites_oldest() {
         let r = RingWindow::new(3);
-        r.record_all_evicting(&[1, 2, 3, 4, 5], |_| {});
+        r.record_all_evicting(&[1u64, 2, 3, 4, 5], |_| {});
         assert_eq!(r.recorded(), 5);
         assert_eq!(r.capacity(), 3);
         let mut snap = r.snapshot();
@@ -523,7 +529,7 @@ mod tests {
     #[test]
     fn ring_snapshot_before_full_returns_only_recorded() {
         let r = RingWindow::new(10);
-        r.record_all_evicting(&[42, 7], |_| {});
+        r.record_all_evicting(&[42u64, 7], |_| {});
         assert_eq!(r.snapshot(), vec![42, 7]);
     }
 
